@@ -9,7 +9,10 @@
 #include <cstdio>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/utsname.h>
 
 #include "obs/metrics.hpp"
 
@@ -33,6 +36,27 @@ inline void row(const char* fmt, ...) {
 inline void verdict(bool ok, const std::string& what) {
   std::printf("---------------------------------------------------------------\n");
   std::printf("[%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
+}
+
+/// The `"commit", "host", "cores"` JSON members every BENCH_*.json
+/// records, so a committed number names the code and machine behind it.
+/// The commit is read with git from the working directory ("unknown"
+/// outside a checkout).
+inline std::string run_info_json() {
+  std::string commit = "unknown";
+  if (std::FILE* git = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) {
+      commit = buf;
+      commit.erase(commit.find_last_not_of(" \n") + 1);
+    }
+    pclose(git);
+  }
+  utsname uts{};
+  uname(&uts);
+  return "\"commit\": \"" + commit + "\", \"host\": \"" + uts.sysname +
+         " " + uts.release + "\", \"cores\": " +
+         std::to_string(std::thread::hardware_concurrency());
 }
 
 struct Stats {

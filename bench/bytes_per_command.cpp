@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
   bench::row("%-6s %3s %5s | %14s %14s | %8s", "engine", "n", "B",
              "full B/cmd", "digest B/cmd", "ratio");
 
-  std::string json = "{\n  \"workload_commands\": 256,\n  \"results\": [\n";
+  std::string json = "{\n  " + bench::run_info_json() +
+                     ",\n  \"workload_commands\": 256,\n  \"results\": [\n";
   bool first = true;
 
   for (const core::EngineKind engine :
