@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 
 using namespace bla;
 
@@ -47,17 +47,19 @@ struct Result {
 };
 
 Result run_case(const Case& c, std::size_t total_commands) {
-  testutil::BatchRsmScenarioOptions options;
+  testutil::ClusterOptions options;
   options.n = c.n;
   options.f = c.f;
-  options.engine = c.engine;
+  options.replica.engine = c.engine;
   options.clients = 1;
   options.commands_per_client = total_commands;
-  options.batch_size = c.batch_size;
-  options.max_in_flight = 4;
-  options.max_rounds = total_commands + 64;
-  options.digest_refs = c.digest_refs;
-  testutil::BatchRsmScenario scenario(std::move(options));
+  options.client.builder.max_commands = c.batch_size;
+  options.client.max_in_flight = 4;
+  options.replica.max_rounds = total_commands + 64;
+  // The full-frame baseline also sends full-value decide notifications.
+  options.replica.digest_refs = c.digest_refs;
+  options.replica.digest_decide_notifications = c.digest_refs;
+  testutil::Cluster scenario(std::move(options));
   scenario.run_until_done();
 
   Result r;

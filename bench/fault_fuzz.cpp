@@ -34,13 +34,13 @@ namespace {
 using bla::core::EngineKind;
 using bla::fault::FuzzResult;
 using bla::fault::FuzzSchedule;
-using bla::fault::NetKind;
+using bla::testutil::Runtime;
 
 struct Options {
   std::uint64_t seed_begin = 1;
   std::uint64_t seed_end = 26;  // exclusive
   std::vector<EngineKind> engines = {EngineKind::kGwts, EngineKind::kGsbs};
-  std::vector<NetKind> nets = {NetKind::kSim, NetKind::kThread};
+  std::vector<Runtime> nets = {Runtime::kSim, Runtime::kThread};
   std::string spec;  // non-empty: replay this one schedule
   bool shrink = true;
   std::string out = "fuzz_failures.txt";
@@ -78,9 +78,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (const char* v = value("--net=")) {
       const std::string n = v;
       if (n == "sim") {
-        opt.nets = {NetKind::kSim};
+        opt.nets = {Runtime::kSim};
       } else if (n == "thread") {
-        opt.nets = {NetKind::kThread};
+        opt.nets = {Runtime::kThread};
       } else if (n != "both") {
         return false;
       }
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   } else {
     for (std::uint64_t seed = opt.seed_begin; seed < opt.seed_end; ++seed) {
       for (const EngineKind engine : opt.engines) {
-        for (const NetKind net : opt.nets) {
+        for (const Runtime net : opt.nets) {
           ++total;
           FuzzSchedule s = bla::fault::generate_schedule(seed, engine, net);
           if (opt.ckpt != 0) s.checkpoint_interval = opt.ckpt;

@@ -5,7 +5,8 @@
 
 #include "bench_util.hpp"
 #include "core/adversary.hpp"
-#include "testutil/rsm_scenario.hpp"
+#include "testutil/cluster.hpp"
+#include "testutil/properties.hpp"
 
 using namespace bla;
 
@@ -20,15 +21,19 @@ struct Result {
 };
 
 Result run(std::size_t n, std::size_t f, std::size_t clients,
-           testutil::AdversaryFactory adversary, std::uint64_t seed) {
-  testutil::RsmScenarioOptions options;
+           testutil::ClusterAdversary adversary, std::uint64_t seed) {
+  testutil::ClusterOptions options;
   options.n = n;
   options.f = f;
+  options.workload = testutil::Workload::kRsmScript;
   options.clients = clients;
-  options.op_pairs = 2;
+  options.commands_per_client = 2;
   options.seed = seed;
   options.adversary = std::move(adversary);
-  testutil::RsmScenario scenario(std::move(options));
+  options.replica.max_rounds = 60;
+  // Alg. 7 reads need the decided values, not just their digests.
+  options.replica.digest_decide_notifications = false;
+  testutil::Cluster scenario(std::move(options));
   scenario.run();
 
   Result r;
@@ -58,7 +63,7 @@ int main() {
 
   struct Attack {
     const char* name;
-    testutil::AdversaryFactory factory;
+    testutil::ClusterAdversary factory;
   };
 
   for (const auto& [n, f] :
@@ -66,11 +71,13 @@ int main() {
     const Attack attacks[] = {
         {"none(silent)", nullptr},
         {"garbage",
-         [](net::NodeId id) {
+         [](net::NodeId id, const testutil::Cluster&) {
            return std::make_unique<core::GarbageSpammer>(id * 13 + 3, 384);
          }},
         {"round-jump",
-         [](net::NodeId) { return std::make_unique<core::RoundJumper>(30); }},
+         [](net::NodeId, const testutil::Cluster&) {
+           return std::make_unique<core::RoundJumper>(30);
+         }},
     };
     for (const Attack& attack : attacks) {
       const Result r = run(n, f, /*clients=*/2, attack.factory, 1);

@@ -1,19 +1,11 @@
 #include "fault/fuzz.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
-#include "batch/client.hpp"
 #include "checkpoint/checkpoint.hpp"
 #include "core/adversary.hpp"
-#include "crypto/signer.hpp"
-#include "net/sim_network.hpp"
-#include "net/thread_network.hpp"
-#include "rsm/command.hpp"
-#include "rsm/replica.hpp"
 #include "testutil/properties.hpp"
 
 namespace bla::fault {
@@ -80,7 +72,7 @@ std::string FuzzSchedule::spec() const {
   };
   kv("seed", std::to_string(seed));
   kv("engine", engine == core::EngineKind::kGwts ? "gwts" : "gsbs");
-  kv("net", net == NetKind::kSim ? "sim" : "thread");
+  kv("net", net == testutil::Runtime::kSim ? "sim" : "thread");
   kv("n", std::to_string(n));
   kv("f", std::to_string(f));
   kv("clients", std::to_string(clients));
@@ -189,9 +181,9 @@ std::optional<FuzzSchedule> FuzzSchedule::parse(std::string_view spec) {
       }
     } else if (key == "net") {
       if (value == "sim") {
-        s.net = NetKind::kSim;
+        s.net = testutil::Runtime::kSim;
       } else if (value == "thread") {
-        s.net = NetKind::kThread;
+        s.net = testutil::Runtime::kThread;
       } else {
         return std::nullopt;
       }
@@ -275,7 +267,7 @@ std::optional<FuzzSchedule> FuzzSchedule::parse(std::string_view spec) {
 // ---------------------------------------------------------------------------
 
 FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
-                               NetKind net) {
+                               testutil::Runtime net) {
   FuzzSchedule s;
   s.seed = seed ? seed : 1;
   s.engine = engine;
@@ -314,7 +306,7 @@ FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
 
   // Fault plan. Abstract time units are simulator message delays; the
   // thread runtime's windows are the same shape scaled to wall seconds.
-  const double ts = net == NetKind::kThread ? kThreadTimeScale : 1.0;
+  const double ts = net == testutil::Runtime::kThread ? kThreadTimeScale : 1.0;
   s.plan.seed = splitmix64(rng) | 1;
   s.plan.default_link.drop = 0.005 * static_cast<double>(splitmix64(rng) % 4);
   s.plan.default_link.duplicate =
@@ -354,15 +346,6 @@ FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
 
 namespace {
 
-/// Everything one run constructs, with raw observer pointers retained.
-struct BuiltSystem {
-  std::unique_ptr<FaultyNetwork> faulty;
-  std::vector<std::unique_ptr<net::IProcess>> processes;  // by node id
-  std::vector<rsm::RsmReplica*> correct_replicas;
-  std::vector<batch::BatchClient*> clients;
-  core::ValueSet expected_commands;
-};
-
 /// Round budget per engine. The fuzz workloads are tiny (a handful of
 /// batches), so the budget only covers post-fault catch-up — and GSbS
 /// rounds are heavyweight (signed cert broadcasts each round, even when
@@ -372,10 +355,11 @@ std::uint64_t engine_round_budget(core::EngineKind engine) {
   return engine == core::EngineKind::kGsbs ? 24 : 120;
 }
 
-std::unique_ptr<net::IProcess> make_adversary(
-    AdversaryKind kind, net::NodeId id, const FuzzSchedule& s,
-    const std::shared_ptr<crypto::ISignerSet>& signers,
-    const core::RecoveryConfig& recovery, std::uint64_t noise_seed) {
+std::unique_ptr<net::IProcess> make_adversary(AdversaryKind kind,
+                                              net::NodeId id,
+                                              const testutil::Cluster& cluster,
+                                              std::size_t n,
+                                              std::uint64_t noise_seed) {
   switch (kind) {
     case AdversaryKind::kSilent:
       return std::make_unique<core::SilentProcess>();
@@ -386,7 +370,7 @@ std::unique_ptr<net::IProcess> make_adversary(
       wire::Encoder b;
       b.str("evil-b");
       b.u64(noise_seed);
-      return std::make_unique<core::EquivocatingDiscloser>(s.n, a.take(),
+      return std::make_unique<core::EquivocatingDiscloser>(n, a.take(),
                                                           b.take());
     }
     case AdversaryKind::kNackSpam:
@@ -398,115 +382,77 @@ std::unique_ptr<net::IProcess> make_adversary(
     case AdversaryKind::kGarbage:
       return std::make_unique<core::GarbageSpammer>(noise_seed);
     case AdversaryKind::kReplay:
-      return std::make_unique<core::ReplayAttacker>(noise_seed, s.n);
+      return std::make_unique<core::ReplayAttacker>(noise_seed, n);
     case AdversaryKind::kWithhold: {
       // A *correct* replica whose outbound traffic to roughly half the
       // replicas is silently withheld — the two-faced fault.
-      rsm::ReplicaConfig rc;
-      rc.self = id;
-      rc.n = s.n;
-      rc.f = s.f;
-      rc.max_rounds = engine_round_budget(s.engine);
-      rc.engine = s.engine;
-      rc.signer = signers->signer_for(id);
-      rc.recovery = recovery;
-      rc.checkpoint_interval = s.checkpoint_interval;
       std::vector<net::NodeId> victims;
-      for (net::NodeId v = 0; v < static_cast<net::NodeId>(s.n); ++v) {
+      for (net::NodeId v = 0; v < static_cast<net::NodeId>(n); ++v) {
         if (v != id && (v + noise_seed) % 2 == 0) victims.push_back(v);
       }
       return std::make_unique<core::WithholdingProcess>(
-          std::make_unique<rsm::RsmReplica>(rc), std::move(victims));
+          cluster.make_replica(id), std::move(victims));
     }
   }
   return std::make_unique<core::SilentProcess>();
 }
 
-BuiltSystem build_system(const FuzzSchedule& s,
-                         const core::RecoveryConfig& recovery,
-                         const batch::RetryPolicy& retry) {
-  BuiltSystem sys;
-  FaultPlan plan = s.plan;
+/// The schedule as cluster options, with engine recovery and client
+/// retransmission on at the runtime's time scale.
+testutil::ClusterOptions cluster_options(const FuzzSchedule& s) {
+  const bool threads = s.net == testutil::Runtime::kThread;
+  testutil::ClusterOptions o;
+  o.runtime = s.net;
+  o.n = s.n;
+  o.f = s.f;
+  o.seed = s.seed;
+  // Adversary k occupies id n-1-k; with none, the out-of-range id n
+  // leaves every slot correct.
+  for (std::size_t k = 0; k < s.adversaries.size(); ++k) {
+    o.byz_ids.push_back(static_cast<net::NodeId>(s.n - 1 - k));
+  }
+  if (o.byz_ids.empty()) o.byz_ids.push_back(static_cast<net::NodeId>(s.n));
+  std::uint64_t rng = s.seed ^ 0xad7e65a11ULL;
+  o.adversary = [&s, rng](net::NodeId id,
+                          const testutil::Cluster& cluster) mutable {
+    return make_adversary(s.adversaries[s.n - 1 - id], id, cluster, s.n,
+                          splitmix64(rng));
+  };
+  o.fault_plan = s.plan;
   if (s.laggard) {
     // The laggard window: replica 0 sleeps through the bulk of the run
     // and recovers late, when peers have checkpointed past its horizon —
     // the snapshot catch-up path is its only way back.
-    const double ts = s.net == NetKind::kThread ? kThreadTimeScale : 1.0;
-    CrashSpec lag;
-    lag.node = 0;
-    lag.crash = ts * 10.0;
-    lag.recover = ts * 220.0;
-    plan.crashes.push_back(lag);
+    const double ts = threads ? kThreadTimeScale : 1.0;
+    o.fault_plan.crashes.push_back({0, ts * 10.0, ts * 220.0});
   }
-  sys.faulty = std::make_unique<FaultyNetwork>(plan);
-
-  // Deterministic keys shared by replicas and clients (GSbS engine
-  // traffic + client batch signatures).
-  const auto signers =
-      crypto::make_hmac_signer_set(s.n + s.clients, s.seed);
-  std::uint64_t rng = s.seed ^ 0xad7e65a11ULL;
-
-  const auto wrap = [&sys](std::unique_ptr<net::IProcess> p) {
-    sys.processes.push_back(sys.faulty->wrap(std::move(p)));
-  };
-
-  for (net::NodeId id = 0; id < static_cast<net::NodeId>(s.n); ++id) {
-    // Adversary k occupies id n-1-k.
-    const std::size_t from_top = s.n - 1 - id;
-    if (from_top < s.adversaries.size()) {
-      wrap(make_adversary(s.adversaries[from_top], id, s, signers, recovery,
-                          splitmix64(rng)));
-      continue;
-    }
-    rsm::ReplicaConfig rc;
-    rc.self = id;
-    rc.n = s.n;
-    rc.f = s.f;
-    rc.max_rounds = engine_round_budget(s.engine);
-    rc.engine = s.engine;
-    rc.signer = signers->signer_for(id);
-    rc.recovery = recovery;
-    rc.checkpoint_interval = s.checkpoint_interval;
-    auto replica = std::make_unique<rsm::RsmReplica>(rc);
-    sys.correct_replicas.push_back(replica.get());
-    wrap(std::move(replica));
+  o.replica.engine = s.engine;
+  o.replica.max_rounds = engine_round_budget(s.engine);
+  o.replica.digest_decide_notifications = false;
+  o.replica.checkpoint_interval = s.checkpoint_interval;
+  o.replica.recovery.enabled = true;
+  o.client.builder.max_commands = s.batch_size;
+  o.client.retry.enabled = true;
+  o.client.retry.max_attempts = 8;
+  if (threads) {
+    o.replica.recovery.tick = 0.03;
+    o.replica.recovery.stall_after = 0.06;
+    o.client.retry.deadline = 0.1;
+    o.client.retry.tick = 0.03;
+  } else {
+    o.client.retry.deadline = 24.0;
+    o.client.retry.tick = 6.0;
   }
-
-  for (std::size_t c = 0; c < s.clients; ++c) {
-    const auto id = static_cast<net::NodeId>(s.n + c);
-    std::vector<lattice::Value> commands;
-    commands.reserve(s.commands_per_client);
-    for (std::size_t k = 0; k < s.commands_per_client; ++k) {
-      rsm::Command cmd;
-      cmd.client = id;
-      cmd.seq = k;
-      cmd.nop = false;
-      wire::Encoder payload;
-      payload.str("fuzz-op");
-      payload.u32(id);
-      payload.uvarint(k);
-      cmd.payload = payload.take();
-      commands.push_back(rsm::encode_command(cmd));
-      sys.expected_commands.insert(commands.back());
-    }
-    batch::BatchClient::Config cc;
-    cc.self = id;
-    cc.n = s.n;
-    cc.f = s.f;
-    cc.builder.max_commands = s.batch_size;
-    cc.retry = retry;
-    auto client = std::make_unique<batch::BatchClient>(
-        cc, signers->signer_for(id), std::move(commands));
-    sys.clients.push_back(client.get());
-    wrap(std::move(client));
-  }
-  return sys;
+  o.clients = s.clients;
+  o.commands_per_client = s.commands_per_client;
+  o.command_tag = "fuzz-op";
+  return o;
 }
 
-void check_safety(const BuiltSystem& sys, FuzzResult& result) {
+void check_safety(const testutil::Cluster& cluster, FuzzResult& result) {
   std::vector<std::vector<core::Decision>> chains;
-  chains.reserve(sys.correct_replicas.size());
-  for (const rsm::RsmReplica* r : sys.correct_replicas) {
+  chains.reserve(cluster.correct_replicas().size());
+  for (const rsm::RsmReplica* r : cluster.correct_replicas()) {
     chains.push_back(r->engine().decisions());
   }
   for (const auto& chain : chains) {
@@ -529,7 +475,7 @@ void check_safety(const BuiltSystem& sys, FuzzResult& result) {
   // Every element the replica's latest accumulator snapshot covers must
   // still be reachable through its (logical) decided set — the value a
   // client confirmed before the checkpoint stays decided after it.
-  for (const rsm::RsmReplica* r : sys.correct_replicas) {
+  for (const rsm::RsmReplica* r : cluster.correct_replicas()) {
     const checkpoint::CheckpointManager* ck = r->engine().checkpoints();
     if (ck == nullptr || ck->latest().seq == 0) continue;
     const core::ValueSet decided = r->engine().decided_set();
@@ -547,19 +493,17 @@ void check_safety(const BuiltSystem& sys, FuzzResult& result) {
   // submitted command must appear in at least one correct replica's
   // state (completion required f+1 reporters, so one was correct).
   result.commands_failed = 0;
-  bool all_done = true;
-  for (const batch::BatchClient* c : sys.clients) {
-    all_done = all_done && c->done();
+  for (const batch::BatchClient* c : cluster.clients()) {
     result.commands_failed += c->pipeline().commands_failed();
     result.commands_failed += c->commands_dropped();
   }
-  result.clients_done = all_done;
-  if (all_done && result.commands_failed == 0) {
+  result.clients_done = cluster.all_clients_done();
+  if (result.clients_done && result.commands_failed == 0) {
     core::ValueSet union_state;
-    for (const rsm::RsmReplica* r : sys.correct_replicas) {
+    for (const rsm::RsmReplica* r : cluster.correct_replicas()) {
       union_state.merge(r->state());
     }
-    for (const core::Value& cmd : sys.expected_commands) {
+    for (const core::Value& cmd : cluster.expected_commands()) {
       if (!union_state.contains(cmd)) {
         result.safety_ok = false;
         result.violation =
@@ -571,73 +515,25 @@ void check_safety(const BuiltSystem& sys, FuzzResult& result) {
   }
 }
 
-FuzzResult run_sim(const FuzzSchedule& s) {
-  core::RecoveryConfig recovery;
-  recovery.enabled = true;
-  batch::RetryPolicy retry;
-  retry.enabled = true;
-  retry.deadline = 24.0;
-  retry.tick = 6.0;
-  retry.max_attempts = 8;
-
-  BuiltSystem sys = build_system(s, recovery, retry);
-  net::SimNetwork::Config cfg;
-  cfg.seed = s.seed;
-  net::SimNetwork net{std::move(cfg)};
-  for (auto& p : sys.processes) net.add_process(std::move(p));
-
-  const auto all_done = [&sys] {
-    return std::all_of(sys.clients.begin(), sys.clients.end(),
-                       [](const auto* c) { return c->done(); });
-  };
-  net.run(80'000'000, all_done);
-  net.run(80'000'000);  // residual: let correct replicas catch up
-
-  FuzzResult result;
-  result.injected_faults = sys.faulty->injector().injected_faults();
-  check_safety(sys, result);
-  return result;
-}
-
-FuzzResult run_thread(const FuzzSchedule& s) {
-  core::RecoveryConfig recovery;
-  recovery.enabled = true;
-  recovery.tick = 0.03;
-  recovery.stall_after = 0.06;
-  batch::RetryPolicy retry;
-  retry.enabled = true;
-  retry.deadline = 0.1;
-  retry.tick = 0.03;
-  retry.max_attempts = 8;
-
-  BuiltSystem sys = build_system(s, recovery, retry);
-  net::ThreadNetwork net;
-  for (auto& p : sys.processes) net.add_process(std::move(p));
-  net.start();
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(8);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const bool all_done =
-        std::all_of(sys.clients.begin(), sys.clients.end(),
-                    [](const auto* c) { return c->done(); });
-    if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  net.wait_quiescent(3000);
-  net.stop();
-
-  FuzzResult result;
-  result.injected_faults = sys.faulty->injector().injected_faults();
-  check_safety(sys, result);
-  return result;
-}
-
 }  // namespace
 
 FuzzResult run_schedule(const FuzzSchedule& schedule) {
-  return schedule.net == NetKind::kSim ? run_sim(schedule)
-                                       : run_thread(schedule);
+  testutil::Cluster cluster(cluster_options(schedule));
+  if (schedule.net == testutil::Runtime::kSim) {
+    cluster.run_until_done(80'000'000);
+    cluster.run(80'000'000);  // residual: let correct replicas catch up
+  } else {
+    cluster.start();
+    cluster.wait_until_done(8.0);
+    cluster.wait_quiescent(3000);
+    cluster.stop();
+  }
+  FuzzResult result;
+  if (const FaultInjector* injector = cluster.fault_injector()) {
+    result.injected_faults = injector->injected_faults();
+  }
+  check_safety(cluster, result);
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -665,9 +561,9 @@ ShrinkOutcome shrink(const FuzzSchedule& failing, std::size_t max_runs) {
 
   // Prefer the deterministic runtime: a thread violation that also
   // reproduces on the simulator shrinks (and replays) reliably.
-  if (out.schedule.net == NetKind::kThread) {
+  if (out.schedule.net == testutil::Runtime::kThread) {
     FuzzSchedule cand = out.schedule;
-    cand.net = NetKind::kSim;
+    cand.net = testutil::Runtime::kSim;
     const double scale = 1.0 / kThreadTimeScale;
     for (PartitionSpec& p : cand.plan.partitions) {
       p.start *= scale;

@@ -34,10 +34,9 @@
 
 #include "core/engine.hpp"
 #include "fault/fault.hpp"
+#include "testutil/cluster.hpp"
 
 namespace bla::fault {
-
-enum class NetKind : std::uint8_t { kSim, kThread };
 
 /// Byzantine behaviours the generator can place in a faulty slot (all
 /// from core/adversary.hpp).
@@ -57,7 +56,9 @@ enum class AdversaryKind : std::uint8_t {
 struct FuzzSchedule {
   std::uint64_t seed = 1;  // master seed: workload + adversary randomness
   core::EngineKind engine = core::EngineKind::kGwts;
-  NetKind net = NetKind::kSim;
+  /// Runtime the schedule runs on: kSim or kThread (the spec codec and
+  /// run_schedule() accept no other).
+  testutil::Runtime net = testutil::Runtime::kSim;
   std::size_t n = 4;
   std::size_t f = 1;
   std::size_t clients = 1;
@@ -91,7 +92,7 @@ inline constexpr double kThreadTimeScale = 0.01;
 /// schedule — the rotating-seed CI job relies on this.
 [[nodiscard]] FuzzSchedule generate_schedule(std::uint64_t seed,
                                              core::EngineKind engine,
-                                             NetKind net);
+                                             testutil::Runtime net);
 
 struct FuzzResult {
   bool safety_ok = true;

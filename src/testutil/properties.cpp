@@ -112,4 +112,74 @@ std::string check_gla_non_triviality(const ValueSet& last_decision,
   return check_non_triviality(last_decision, correct_inputs, budget);
 }
 
+std::string check_rsm_properties(
+    const std::vector<rsm::RsmClient::OpResult>& ops,
+    const core::ValueSet& submitted_commands) {
+  // Read Validity: a read returns only genuinely submitted commands (a
+  // fabricated command would prove a Byzantine replica forged state).
+  for (const auto& op : ops) {
+    if (!op.is_read) continue;
+    if (!op.read_value.leq(submitted_commands)) {
+      return "read returned commands nobody submitted";
+    }
+  }
+
+  // Read Consistency: all read values comparable.
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].is_read) continue;
+    for (std::size_t j = i + 1; j < ops.size(); ++j) {
+      if (!ops[j].is_read) continue;
+      if (!lattice::comparable(ops[i].read_value, ops[j].read_value)) {
+        std::ostringstream out;
+        out << "reads " << i << " and " << j << " incomparable";
+        return out.str();
+      }
+    }
+  }
+
+  // Read Monotonicity: r1 finishes before r2 starts => v1 ⊆ v2.
+  for (const auto& r1 : ops) {
+    if (!r1.is_read) continue;
+    for (const auto& r2 : ops) {
+      if (!r2.is_read) continue;
+      if (r1.finish_time < r2.start_time &&
+          !r1.read_value.leq(r2.read_value)) {
+        return "read monotonicity violated";
+      }
+    }
+  }
+
+  // Update Visibility: update u completes before read r starts => r sees
+  // u's command.
+  for (const auto& u : ops) {
+    if (u.is_read) continue;
+    for (const auto& r : ops) {
+      if (!r.is_read) continue;
+      if (u.finish_time < r.start_time &&
+          !r.read_value.contains(u.command)) {
+        return "update visibility violated";
+      }
+    }
+  }
+
+  // Update Stability: u1 completes before u2 starts => any read containing
+  // u2's command also contains u1's.
+  for (const auto& u1 : ops) {
+    if (u1.is_read) continue;
+    for (const auto& u2 : ops) {
+      if (u2.is_read || &u1 == &u2) continue;
+      if (u1.finish_time >= u2.start_time) continue;
+      for (const auto& r : ops) {
+        if (!r.is_read) continue;
+        if (r.read_value.contains(u2.command) &&
+            !r.read_value.contains(u1.command)) {
+          return "update stability violated";
+        }
+      }
+    }
+  }
+
+  return {};
+}
+
 }  // namespace bla::testutil

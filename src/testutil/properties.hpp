@@ -10,6 +10,7 @@
 #include "core/common.hpp"
 #include "core/gwts.hpp"
 #include "lattice/value.hpp"
+#include "rsm/client.hpp"
 
 namespace bla::testutil {
 
@@ -51,5 +52,10 @@ using core::ValueSet;
 [[nodiscard]] std::string check_gla_non_triviality(
     const ValueSet& last_decision, const ValueSet& correct_inputs,
     std::size_t budget);
+
+/// Validates the six §7.1 RSM properties over a completed-op log.
+[[nodiscard]] std::string check_rsm_properties(
+    const std::vector<rsm::RsmClient::OpResult>& ops,
+    const ValueSet& submitted_commands);
 
 }  // namespace bla::testutil

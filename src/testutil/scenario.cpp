@@ -11,53 +11,80 @@ core::Value proposal_value(net::NodeId id) {
   return enc.take();
 }
 
+std::unique_ptr<net::IProcess> or_silent(
+    std::unique_ptr<net::IProcess> adversary) {
+  if (adversary) return adversary;
+  return std::make_unique<core::SilentProcess>();
+}
+
 namespace {
 
-std::unique_ptr<net::IProcess> make_adversary(const ScenarioOptions& options,
-                                              net::NodeId id) {
-  if (options.adversary) {
-    auto p = options.adversary(id);
-    if (p) return p;
+/// The simulator every scenario here runs on, nodes 0..n-1 added in id
+/// order: Byzantine slots from the options' factory, every other id from
+/// `make_correct`.
+std::unique_ptr<net::SimNetwork> build_network(
+    ScenarioOptions& options,
+    const std::function<std::unique_ptr<net::IProcess>(net::NodeId)>&
+        make_correct) {
+  net::SimNetwork::Config cfg;
+  cfg.seed = options.seed;
+  cfg.delay = std::move(options.delay);
+  auto net = std::make_unique<net::SimNetwork>(std::move(cfg));
+  for (net::NodeId id = 0; id < options.n; ++id) {
+    if (options.is_byzantine(id)) {
+      net->add_process(
+          or_silent(options.adversary ? options.adversary(id) : nullptr));
+    } else {
+      net->add_process(make_correct(id));
+    }
   }
-  return std::make_unique<core::SilentProcess>();
+  return net;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// WtsScenario.
+// OneShotScenario.
 // ---------------------------------------------------------------------------
 
-WtsScenario::WtsScenario(ScenarioOptions options)
+template <class Process>
+OneShotScenario<Process>::OneShotScenario(ScenarioOptions options)
     : options_(std::move(options)) {
-  net::SimNetwork::Config cfg;
-  cfg.seed = options_.seed;
-  cfg.delay = std::move(options_.delay);
-  net_ = std::make_unique<net::SimNetwork>(std::move(cfg));
-
-  for (net::NodeId id = 0; id < options_.n; ++id) {
-    if (options_.is_byzantine(id)) {
-      net_->add_process(make_adversary(options_, id));
-    } else {
-      auto process = std::make_unique<core::WtsProcess>(
-          core::WtsConfig{id, options_.n, options_.f}, proposal_value(id));
-      correct_.push_back(process.get());
-      correct_ids_.push_back(id);
-      net_->add_process(std::move(process));
-    }
+  std::shared_ptr<crypto::ISignerSet> signers;
+  if constexpr (std::is_same_v<Process, core::SbsProcess>) {
+    signers = options_.use_ed25519
+                  ? crypto::make_ed25519_signer_set(options_.n, options_.seed)
+                  : crypto::make_hmac_signer_set(options_.n, options_.seed);
   }
+  net_ = build_network(options_, [&](net::NodeId id) {
+    std::unique_ptr<Process> process;
+    if constexpr (std::is_same_v<Process, core::SbsProcess>) {
+      process = std::make_unique<Process>(
+          core::SbsConfig{id, options_.n, options_.f}, proposal_value(id),
+          signers->signer_for(id));
+    } else {
+      process = std::make_unique<Process>(
+          core::WtsConfig{id, options_.n, options_.f}, proposal_value(id));
+    }
+    correct_.push_back(process.get());
+    correct_ids_.push_back(id);
+    return process;
+  });
 }
 
-std::uint64_t WtsScenario::run(std::uint64_t max_events) {
+template <class Process>
+std::uint64_t OneShotScenario<Process>::run(std::uint64_t max_events) {
   return net_->run(max_events);
 }
 
-bool WtsScenario::all_correct_decided() const {
+template <class Process>
+bool OneShotScenario<Process>::all_correct_decided() const {
   return std::all_of(correct_.begin(), correct_.end(),
                      [](const auto* p) { return p->has_decided(); });
 }
 
-std::vector<core::ValueSet> WtsScenario::decisions() const {
+template <class Process>
+std::vector<core::ValueSet> OneShotScenario<Process>::decisions() const {
   std::vector<core::ValueSet> out;
   for (const auto* p : correct_) {
     if (p->has_decided()) out.push_back(p->decision());
@@ -65,13 +92,15 @@ std::vector<core::ValueSet> WtsScenario::decisions() const {
   return out;
 }
 
-core::ValueSet WtsScenario::correct_inputs() const {
+template <class Process>
+core::ValueSet OneShotScenario<Process>::correct_inputs() const {
   core::ValueSet out;
   for (net::NodeId id : correct_ids_) out.insert(proposal_value(id));
   return out;
 }
 
-double WtsScenario::max_decide_time() const {
+template <class Process>
+double OneShotScenario<Process>::max_decide_time() const {
   double worst = 0.0;
   for (const auto* p : correct_) {
     worst = std::max(worst, p->decide_time());
@@ -79,22 +108,16 @@ double WtsScenario::max_decide_time() const {
   return worst;
 }
 
+template class OneShotScenario<core::WtsProcess>;
+template class OneShotScenario<core::SbsProcess>;
+
 // ---------------------------------------------------------------------------
 // GwtsScenario.
 // ---------------------------------------------------------------------------
 
 GwtsScenario::GwtsScenario(GwtsScenarioOptions options)
     : options_(std::move(options)) {
-  net::SimNetwork::Config cfg;
-  cfg.seed = options_.seed;
-  cfg.delay = std::move(options_.delay);
-  net_ = std::make_unique<net::SimNetwork>(std::move(cfg));
-
-  for (net::NodeId id = 0; id < options_.n; ++id) {
-    if (options_.is_byzantine(id)) {
-      net_->add_process(make_adversary(options_, id));
-      continue;
-    }
+  net_ = build_network(options_, [this](net::NodeId id) {
     // Values are tagged (node, round, k) so they are unique. The chunk
     // for round 0 is submitted before start; the chunk for round r ≥ 1 is
     // submitted from inside the decide callback of round r−1, while the
@@ -139,8 +162,8 @@ GwtsScenario::GwtsScenario(GwtsScenarioOptions options)
     for (std::size_t k = 0; k < options_.values_per_round; ++k) {
       process->submit(mine[k]);
     }
-    net_->add_process(std::move(process));
-  }
+    return process;
+  });
 }
 
 std::uint64_t GwtsScenario::run(std::uint64_t max_events) {
@@ -159,66 +182,6 @@ core::ValueSet GwtsScenario::correct_inputs() const {
     for (const core::Value& v : values) out.insert(v);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// SbsScenario.
-// ---------------------------------------------------------------------------
-
-SbsScenario::SbsScenario(SbsScenarioOptions options)
-    : options_(std::move(options)) {
-  signers_ = options_.use_ed25519
-                 ? crypto::make_ed25519_signer_set(options_.n, options_.seed)
-                 : crypto::make_hmac_signer_set(options_.n, options_.seed);
-
-  net::SimNetwork::Config cfg;
-  cfg.seed = options_.seed;
-  cfg.delay = std::move(options_.delay);
-  net_ = std::make_unique<net::SimNetwork>(std::move(cfg));
-
-  for (net::NodeId id = 0; id < options_.n; ++id) {
-    if (options_.is_byzantine(id)) {
-      net_->add_process(make_adversary(options_, id));
-      continue;
-    }
-    auto process = std::make_unique<core::SbsProcess>(
-        core::SbsConfig{id, options_.n, options_.f}, proposal_value(id),
-        signers_->signer_for(id));
-    correct_.push_back(process.get());
-    correct_ids_.push_back(id);
-    net_->add_process(std::move(process));
-  }
-}
-
-std::uint64_t SbsScenario::run(std::uint64_t max_events) {
-  return net_->run(max_events);
-}
-
-bool SbsScenario::all_correct_decided() const {
-  return std::all_of(correct_.begin(), correct_.end(),
-                     [](const auto* p) { return p->has_decided(); });
-}
-
-std::vector<core::ValueSet> SbsScenario::decisions() const {
-  std::vector<core::ValueSet> out;
-  for (const auto* p : correct_) {
-    if (p->has_decided()) out.push_back(p->decision());
-  }
-  return out;
-}
-
-core::ValueSet SbsScenario::correct_inputs() const {
-  core::ValueSet out;
-  for (net::NodeId id : correct_ids_) out.insert(proposal_value(id));
-  return out;
-}
-
-double SbsScenario::max_decide_time() const {
-  double worst = 0.0;
-  for (const auto* p : correct_) {
-    worst = std::max(worst, p->decide_time());
-  }
-  return worst;
 }
 
 }  // namespace bla::testutil

@@ -2,8 +2,10 @@
 // Scenario builders: wire up a SimNetwork with n nodes, some of which are
 // adversaries, run to quiescence, and expose the correct processes for
 // property checking. Shared by the test suite and the bench harness so
-// every experiment is constructed the same way.
+// every experiment is constructed the same way. The RSM-level harness
+// (replicas + clients on any runtime) is testutil::Cluster, cluster.hpp.
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -24,14 +26,15 @@ namespace bla::testutil {
 using AdversaryFactory =
     std::function<std::unique_ptr<net::IProcess>(net::NodeId id)>;
 
-struct ScenarioOptions {
+/// The node layout every harness shares: n nodes, the Byzantine slots
+/// among them, and the simulator's seed and delay model.
+struct Topology {
   std::size_t n = 4;
   std::size_t f = 1;
   std::uint64_t seed = 1;
-  /// Node ids of the Byzantine slots; defaults to the *last* f ids.
+  /// Node ids of the Byzantine slots; defaults to the *last* f ids. An id
+  /// ≥ n names no node, so {n} leaves every slot correct.
   std::vector<net::NodeId> byz_ids;
-  /// Adversary behaviour (nullptr => SilentProcess).
-  AdversaryFactory adversary;
   std::unique_ptr<net::IDelayModel> delay;  // default ConstantDelay(1)
 
   [[nodiscard]] std::vector<net::NodeId> byzantine_ids() const {
@@ -48,22 +51,37 @@ struct ScenarioOptions {
   }
 };
 
+/// The process for a Byzantine slot: the factory's, or a SilentProcess
+/// when there is no factory or it declines (returns nullptr).
+[[nodiscard]] std::unique_ptr<net::IProcess> or_silent(
+    std::unique_ptr<net::IProcess> adversary);
+
+struct ScenarioOptions : Topology {
+  /// Adversary behaviour (nullptr => SilentProcess).
+  AdversaryFactory adversary;
+  /// Which signature scheme backs signed engines (SbS).
+  bool use_ed25519 = false;
+};
+using SbsScenarioOptions = ScenarioOptions;
+
 /// Standard per-node proposal value used across scenarios: "v<id>".
 [[nodiscard]] core::Value proposal_value(net::NodeId id);
 
 // ---------------------------------------------------------------------------
-// WTS scenario.
+// One-shot scenario: every correct node proposes proposal_value(id) once
+// (WTS, Alg. 1–2; SbS, Alg. 3–4).
 // ---------------------------------------------------------------------------
 
-class WtsScenario {
+template <class Process>
+class OneShotScenario {
 public:
-  explicit WtsScenario(ScenarioOptions options);
+  explicit OneShotScenario(ScenarioOptions options);
 
   /// Runs until the network drains or `max_events` fire.
   std::uint64_t run(std::uint64_t max_events = 50'000'000);
 
   [[nodiscard]] net::SimNetwork& network() { return *net_; }
-  [[nodiscard]] const std::vector<core::WtsProcess*>& correct() const {
+  [[nodiscard]] const std::vector<Process*>& correct() const {
     return correct_;
   }
   [[nodiscard]] bool all_correct_decided() const;
@@ -72,15 +90,16 @@ public:
   /// Non-Triviality).
   [[nodiscard]] core::ValueSet correct_inputs() const;
   [[nodiscard]] double max_decide_time() const;
-  [[nodiscard]] std::size_t f() const { return options_.f; }
-  [[nodiscard]] std::size_t n() const { return options_.n; }
 
 private:
   ScenarioOptions options_;
   std::unique_ptr<net::SimNetwork> net_;
-  std::vector<core::WtsProcess*> correct_;
+  std::vector<Process*> correct_;
   std::vector<net::NodeId> correct_ids_;
 };
+
+using WtsScenario = OneShotScenario<core::WtsProcess>;
+using SbsScenario = OneShotScenario<core::SbsProcess>;
 
 // ---------------------------------------------------------------------------
 // GWTS scenario.
@@ -120,41 +139,6 @@ private:
   std::unique_ptr<net::SimNetwork> net_;
   std::vector<core::GwtsProcess*> correct_;
   std::vector<std::vector<core::Value>> submitted_;  // per correct process
-  // Feeds process i's values for round r+1 once its r-th decision lands.
-  std::vector<std::function<void(std::uint64_t round)>> raw_feeders_;
-};
-
-// ---------------------------------------------------------------------------
-// SbS scenario.
-// ---------------------------------------------------------------------------
-
-struct SbsScenarioOptions : ScenarioOptions {
-  /// Which signature scheme backs the run.
-  bool use_ed25519 = false;
-};
-
-class SbsScenario {
-public:
-  explicit SbsScenario(SbsScenarioOptions options);
-
-  std::uint64_t run(std::uint64_t max_events = 50'000'000);
-
-  [[nodiscard]] net::SimNetwork& network() { return *net_; }
-  [[nodiscard]] const std::vector<core::SbsProcess*>& correct() const {
-    return correct_;
-  }
-  [[nodiscard]] bool all_correct_decided() const;
-  [[nodiscard]] std::vector<core::ValueSet> decisions() const;
-  [[nodiscard]] core::ValueSet correct_inputs() const;
-  [[nodiscard]] double max_decide_time() const;
-  [[nodiscard]] const crypto::ISignerSet& signers() const { return *signers_; }
-
-private:
-  SbsScenarioOptions options_;
-  std::shared_ptr<crypto::ISignerSet> signers_;
-  std::unique_ptr<net::SimNetwork> net_;
-  std::vector<core::SbsProcess*> correct_;
-  std::vector<net::NodeId> correct_ids_;
 };
 
 }  // namespace bla::testutil

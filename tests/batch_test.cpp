@@ -12,13 +12,13 @@
 #include "batch/proposer.hpp"
 #include "batch/verifier.hpp"
 #include "rsm/command.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 
 namespace bla::batch {
 namespace {
 
-using testutil::BatchRsmScenario;
-using testutil::BatchRsmScenarioOptions;
+using testutil::Cluster;
+using testutil::ClusterOptions;
 
 [[nodiscard]] Value make_command(NodeId client, std::uint64_t seq) {
   rsm::Command cmd;
@@ -349,16 +349,16 @@ class BatchedRsmEngines
     : public ::testing::TestWithParam<core::EngineKind> {};
 
 TEST_P(BatchedRsmEngines, WorkloadLandsInEveryCorrectReplica) {
-  BatchRsmScenarioOptions options;
+  ClusterOptions options;
   options.n = 4;
   options.f = 1;
-  options.engine = GetParam();
+  options.replica.engine = GetParam();
   options.clients = 2;
   options.commands_per_client = 24;
-  options.batch_size = 8;
-  options.max_in_flight = 2;
-  options.max_rounds = 120;
-  BatchRsmScenario scenario(std::move(options));
+  options.client.builder.max_commands = 8;
+  options.client.max_in_flight = 2;
+  options.replica.max_rounds = 120;
+  Cluster scenario(std::move(options));
   scenario.run();  // to quiescence, so every correct replica catches up
 
   ASSERT_TRUE(scenario.all_clients_done());
@@ -395,15 +395,15 @@ INSTANTIATE_TEST_SUITE_P(Engines, BatchedRsmEngines,
 
 TEST(BatchedRsm, SingleCommandBatchesDegradeToSeedBehaviour) {
   // B = 1 must still work: every command rides its own batch.
-  BatchRsmScenarioOptions options;
+  ClusterOptions options;
   options.n = 4;
   options.f = 1;
   options.clients = 1;
   options.commands_per_client = 6;
-  options.batch_size = 1;
-  options.max_in_flight = 3;
-  options.max_rounds = 80;
-  BatchRsmScenario scenario(std::move(options));
+  options.client.builder.max_commands = 1;
+  options.client.max_in_flight = 3;
+  options.replica.max_rounds = 80;
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
   EXPECT_EQ(scenario.clients()[0]->builder().batches_sealed(), 6u);
@@ -547,14 +547,14 @@ TEST(BatchedRsm, ForgedAndMalformedBatchesAreRejected) {
     std::shared_ptr<const crypto::ISigner> signer_;
   };
 
-  BatchRsmScenarioOptions options;
+  ClusterOptions options;
   options.n = 4;
   options.f = 1;
   options.clients = 1;
   options.commands_per_client = 8;
-  options.batch_size = 4;
-  options.max_rounds = 80;
-  BatchRsmScenario scenario(std::move(options));
+  options.client.builder.max_commands = 4;
+  options.replica.max_rounds = 80;
+  Cluster scenario(std::move(options));
   // The evil client (node 5) signs with a key outside the replicas' PKI
   // (their signer set covers ids 0..4) — forging must fail regardless.
   auto evil_signer = crypto::make_hmac_signer_set(6, 1)->signer_for(5);

@@ -23,7 +23,7 @@
 #include "core/gwts.hpp"
 #include "net/sim_network.hpp"
 #include "obs/registry.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 #include "testutil/properties.hpp"
 
 namespace bla {
@@ -44,20 +44,21 @@ std::uint64_t node_counter(const std::shared_ptr<obs::Registry>& reg,
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointSoak, HundredThousandCommandsBoundedState) {
-  testutil::BatchRsmScenarioOptions opt;
+  testutil::ClusterOptions opt;
   opt.n = 4;
   opt.f = 1;
   opt.seed = 9;
-  opt.engine = core::EngineKind::kGwts;
+  opt.replica.engine = core::EngineKind::kGwts;
   opt.clients = 4;
   opt.commands_per_client = 25'000;  // 10^5 commands total
-  opt.batch_size = 250;              // 400 batches = 400 decided elements
-  opt.max_in_flight = 4;
+  // 400 batches = 400 decided elements.
+  opt.client.builder.max_commands = 250;
+  opt.client.max_in_flight = 4;
   // Budget: the workload decides in ~40 rounds; the tail is idle-round
   // catch-up. (Idle rounds are the dominant wall-clock cost at this
   // scale, checkpointing or not.)
-  opt.max_rounds = 70;
-  opt.checkpoint_interval = 16;
+  opt.replica.max_rounds = 70;
+  opt.replica.checkpoint_interval = 16;
   const auto registry = std::make_shared<obs::Registry>();
   // Lifecycle latency tracking hashes every one of the 10^5 commands at
   // each stage — off; this test reads gauges/counters only.
@@ -69,15 +70,16 @@ TEST(CheckpointSoak, HundredThousandCommandsBoundedState) {
   opt.fault_plan.default_link.drop = 0.002;
   opt.fault_plan.default_link.reorder = 0.002;
   opt.fault_plan.partitions.push_back({40.0, 90.0, {net::NodeId{1}}});
-  opt.recovery.enabled = true;
-  opt.retry.enabled = true;
-  opt.retry.deadline = 24.0;
-  opt.retry.tick = 6.0;
-  opt.retry.max_attempts = 10;
+  opt.replica.recovery.enabled = true;
+  opt.client.retry.enabled = true;
+  opt.client.retry.deadline = 24.0;
+  opt.client.retry.tick = 6.0;
+  opt.client.retry.max_attempts = 10;
 
   const std::size_t total_batches =
-      opt.clients * opt.commands_per_client / opt.batch_size;  // 400
-  testutil::BatchRsmScenario scenario(std::move(opt));
+      opt.clients * opt.commands_per_client /
+      opt.client.builder.max_commands;  // 400
+  testutil::Cluster scenario(std::move(opt));
   scenario.run_until_done(600'000'000);
   scenario.run(600'000'000);  // residual: let every replica catch up
 
@@ -157,32 +159,32 @@ TEST(CheckpointSoak, HundredThousandCommandsBoundedState) {
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointLaggard, GwtsCatchesUpFromSnapshot) {
-  testutil::BatchRsmScenarioOptions opt;
+  testutil::ClusterOptions opt;
   opt.n = 4;
   opt.f = 1;
   opt.seed = 21;
-  opt.engine = core::EngineKind::kGwts;
+  opt.replica.engine = core::EngineKind::kGwts;
   // All four replicas are correct: the crash below *is* the f=1 fault
   // (pinning the Byzantine slot to a non-replica id leaves no silent
   // slot, so the three live replicas still form a quorum).
   opt.byz_ids = {net::NodeId{4}};
   opt.clients = 2;
   opt.commands_per_client = 256;
-  opt.batch_size = 8;  // 64 batches
-  opt.max_rounds = 400;
-  opt.checkpoint_interval = 8;
+  opt.client.builder.max_commands = 8;  // 64 batches
+  opt.replica.max_rounds = 400;
+  opt.replica.checkpoint_interval = 8;
   opt.registry = std::make_shared<obs::Registry>();
   // Replica 0 sleeps from t=10 until after the workload has decided and
   // its peers have checkpointed past its horizon.
   opt.fault_plan.seed = 7;
   opt.fault_plan.crashes.push_back({net::NodeId{0}, 10.0, 400.0});
-  opt.recovery.enabled = true;
-  opt.retry.enabled = true;
-  opt.retry.deadline = 24.0;
-  opt.retry.tick = 6.0;
-  opt.retry.max_attempts = 10;
+  opt.replica.recovery.enabled = true;
+  opt.client.retry.enabled = true;
+  opt.client.retry.deadline = 24.0;
+  opt.client.retry.tick = 6.0;
+  opt.client.retry.max_attempts = 10;
 
-  testutil::BatchRsmScenario scenario(std::move(opt));
+  testutil::Cluster scenario(std::move(opt));
   scenario.run_until_done(300'000'000);
   scenario.run(300'000'000);
 
@@ -213,30 +215,30 @@ TEST(CheckpointLaggard, GwtsCatchesUpFromSnapshot) {
 }
 
 TEST(CheckpointLaggard, GsbsCatchesUpFromSnapshot) {
-  testutil::BatchRsmScenarioOptions opt;
+  testutil::ClusterOptions opt;
   opt.n = 4;
   opt.f = 1;
   opt.seed = 33;
-  opt.engine = core::EngineKind::kGsbs;
+  opt.replica.engine = core::EngineKind::kGsbs;
   // All four replicas are correct: the crash below *is* the f=1 fault
   // (pinning the Byzantine slot to a non-replica id leaves no silent
   // slot, so the three live replicas still form a quorum).
   opt.byz_ids = {net::NodeId{4}};
   opt.clients = 2;
   opt.commands_per_client = 128;
-  opt.batch_size = 8;  // 32 batches
-  opt.max_rounds = 80;
-  opt.checkpoint_interval = 8;
+  opt.client.builder.max_commands = 8;  // 32 batches
+  opt.replica.max_rounds = 80;
+  opt.replica.checkpoint_interval = 8;
   opt.registry = std::make_shared<obs::Registry>();
   opt.fault_plan.seed = 7;
   opt.fault_plan.crashes.push_back({net::NodeId{0}, 10.0, 400.0});
-  opt.recovery.enabled = true;
-  opt.retry.enabled = true;
-  opt.retry.deadline = 24.0;
-  opt.retry.tick = 6.0;
-  opt.retry.max_attempts = 10;
+  opt.replica.recovery.enabled = true;
+  opt.client.retry.enabled = true;
+  opt.client.retry.deadline = 24.0;
+  opt.client.retry.tick = 6.0;
+  opt.client.retry.max_attempts = 10;
 
-  testutil::BatchRsmScenario scenario(std::move(opt));
+  testutil::Cluster scenario(std::move(opt));
   scenario.run_until_done(300'000'000);
   scenario.run(300'000'000);
 

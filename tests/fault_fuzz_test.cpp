@@ -12,13 +12,13 @@ namespace {
 
 using fault::FuzzResult;
 using fault::FuzzSchedule;
-using fault::NetKind;
+using testutil::Runtime;
 
 TEST(FuzzSpec, RoundTripsForGeneratedSchedules) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
-      for (NetKind net : {NetKind::kSim, NetKind::kThread}) {
+      for (Runtime net : {Runtime::kSim, Runtime::kThread}) {
         const FuzzSchedule s = fault::generate_schedule(seed, engine, net);
         const auto parsed = FuzzSchedule::parse(s.spec());
         ASSERT_TRUE(parsed.has_value()) << s.spec();
@@ -92,9 +92,9 @@ TEST(FuzzRun, DirectedCheckpointSchedulesAreSafe) {
 
 TEST(FuzzSpec, GenerationIsDeterministic) {
   const FuzzSchedule a =
-      fault::generate_schedule(99, core::EngineKind::kGsbs, NetKind::kSim);
+      fault::generate_schedule(99, core::EngineKind::kGsbs, Runtime::kSim);
   const FuzzSchedule b =
-      fault::generate_schedule(99, core::EngineKind::kGsbs, NetKind::kSim);
+      fault::generate_schedule(99, core::EngineKind::kGsbs, Runtime::kSim);
   EXPECT_EQ(a.spec(), b.spec());
 }
 
@@ -105,7 +105,7 @@ TEST_P(FuzzSimSweep, ScheduleIsSafe) {
   const auto [seed, engine_idx] = GetParam();
   const auto engine =
       engine_idx == 0 ? core::EngineKind::kGwts : core::EngineKind::kGsbs;
-  const FuzzSchedule s = fault::generate_schedule(seed, engine, NetKind::kSim);
+  const FuzzSchedule s = fault::generate_schedule(seed, engine, Runtime::kSim);
   const FuzzResult r = fault::run_schedule(s);
   EXPECT_TRUE(r.safety_ok) << r.violation << "\nrepro: "
                            << fault::repro_command(s);
@@ -122,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FuzzRun, SimResultsAreDeterministic) {
   const FuzzSchedule s =
-      fault::generate_schedule(5, core::EngineKind::kGwts, NetKind::kSim);
+      fault::generate_schedule(5, core::EngineKind::kGwts, Runtime::kSim);
   const FuzzResult a = fault::run_schedule(s);
   const FuzzResult b = fault::run_schedule(s);
   EXPECT_EQ(a.safety_ok, b.safety_ok);
@@ -137,7 +137,7 @@ TEST(FuzzRun, ThreadSchedulesAreSafe) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
       const FuzzSchedule s =
-          fault::generate_schedule(seed, engine, NetKind::kThread);
+          fault::generate_schedule(seed, engine, Runtime::kThread);
       const FuzzResult r = fault::run_schedule(s);
       EXPECT_TRUE(r.safety_ok) << r.violation << "\nrepro: "
                                << fault::repro_command(s);

@@ -11,7 +11,7 @@
 #include "fault/fault.hpp"
 #include "net/sim_network.hpp"
 #include "net/thread_network.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 
 namespace bla {
 namespace {
@@ -186,29 +186,29 @@ TEST(FaultInjector, SameSeedReplaysTheSameFaultSequence) {
 /// (≤ f), under a 10k-command batched workload. With engine recovery and
 /// client retransmission on, every command must commit on every replica.
 TEST(FaultRecovery, TenThousandCommandsCommitUnderLossPartitionAndCrash) {
-  testutil::BatchRsmScenarioOptions options;
+  testutil::ClusterOptions options;
   options.n = 4;
   options.f = 1;
   // All four replicas are correct; the *plan* supplies the faults.
   options.byz_ids = {4};  // sentinel outside [0, n): no Byzantine slot
   options.clients = 2;
   options.commands_per_client = 5000;
-  options.batch_size = 64;
-  options.max_in_flight = 8;
+  options.client.builder.max_commands = 64;
+  options.client.max_in_flight = 8;
   // The workload itself finishes within ~25 rounds; the budget only has
   // to cover the post-heal catch-up tail, and each idle round past that
   // is pure simulated time.
-  options.max_rounds = 300;
+  options.replica.max_rounds = 300;
   options.fault_plan.seed = 7;
   options.fault_plan.default_link.drop = 0.01;
   options.fault_plan.partitions.push_back(
       PartitionSpec{/*start=*/40.0, /*heal=*/90.0, /*side_a=*/{0}});
   options.fault_plan.crashes.push_back(
       CrashSpec{/*node=*/3, /*crash=*/120.0, /*recover=*/200.0});
-  options.recovery.enabled = true;
-  options.retry.enabled = true;
-  options.retry.max_attempts = 10;
-  testutil::BatchRsmScenario scenario(std::move(options));
+  options.replica.recovery.enabled = true;
+  options.client.retry.enabled = true;
+  options.client.retry.max_attempts = 10;
+  testutil::Cluster scenario(std::move(options));
   scenario.run_until_done();
   scenario.run();  // drain residual rounds so every replica catches up
 
@@ -231,26 +231,26 @@ TEST(FaultRecovery, TenThousandCommandsCommitUnderLossPartitionAndCrash) {
 
 /// GSbS engine takes the same medicine (smaller dose).
 TEST(FaultRecovery, GsbsCommitsUnderLossAndCrash) {
-  testutil::BatchRsmScenarioOptions options;
-  options.engine = core::EngineKind::kGsbs;
+  testutil::ClusterOptions options;
+  options.replica.engine = core::EngineKind::kGsbs;
   options.n = 4;
   options.f = 1;
   options.byz_ids = {4};
   options.clients = 2;
   options.commands_per_client = 200;
-  options.batch_size = 16;
+  options.client.builder.max_commands = 16;
   // GSbS proposals are cumulative (every batch since round 0 rides every
   // ack-req with its proof quorum), so idle rounds after the workload
   // drains are *quadratically* expensive — keep the round budget tight.
-  options.max_rounds = 150;
+  options.replica.max_rounds = 150;
   options.fault_plan.seed = 11;
   options.fault_plan.default_link.drop = 0.01;
   options.fault_plan.crashes.push_back(
       CrashSpec{/*node=*/2, /*crash=*/30.0, /*recover=*/80.0});
-  options.recovery.enabled = true;
-  options.retry.enabled = true;
-  options.retry.max_attempts = 10;
-  testutil::BatchRsmScenario scenario(std::move(options));
+  options.replica.recovery.enabled = true;
+  options.client.retry.enabled = true;
+  options.client.retry.max_attempts = 10;
+  testutil::Cluster scenario(std::move(options));
   scenario.run_until_done();
   scenario.run();
 
@@ -268,22 +268,23 @@ TEST(FaultRecovery, GsbsCommitsUnderLossAndCrash) {
 /// budget drains, done() turns true, and the loss is surfaced through
 /// commands_failed() — the "fail loudly" half of the recovery contract.
 TEST(FaultRecovery, TotalLossSurfacesGiveUpInsteadOfHanging) {
-  testutil::BatchRsmScenarioOptions options;
+  testutil::ClusterOptions options;
   options.n = 4;
   options.f = 1;
   options.byz_ids = {4};
   options.clients = 1;
   options.commands_per_client = 8;
-  options.batch_size = 4;
-  options.max_rounds = 40;
+  options.client.builder.max_commands = 4;
+  options.replica.max_rounds = 40;
   options.fault_plan.default_link.drop = 1.0;
-  options.recovery.enabled = true;
-  options.recovery.max_resends = 4;  // bound the pointless retry traffic
-  options.retry.enabled = true;
-  options.retry.deadline = 8.0;
-  options.retry.tick = 4.0;
-  options.retry.max_attempts = 2;
-  testutil::BatchRsmScenario scenario(std::move(options));
+  options.replica.recovery.enabled = true;
+  // Bound the pointless retry traffic.
+  options.replica.recovery.max_resends = 4;
+  options.client.retry.enabled = true;
+  options.client.retry.deadline = 8.0;
+  options.client.retry.tick = 4.0;
+  options.client.retry.max_attempts = 2;
+  testutil::Cluster scenario(std::move(options));
   scenario.run();  // must quiesce despite recovery being enabled
 
   ASSERT_TRUE(scenario.all_clients_done());

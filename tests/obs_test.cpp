@@ -14,7 +14,7 @@
 #include "net/thread_network.hpp"
 #include "obs/registry.hpp"
 #include "rbc/bracha.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 
 namespace bla::obs {
 namespace {
@@ -277,15 +277,15 @@ TEST(ObsWatchdog, NearCapBroadcastWarnsButSends) {
 
 TEST(ObsEndToEnd, GwtsLifecycleHistogramsAndCausalTrace) {
   auto registry = std::make_shared<Registry>();
-  testutil::BatchRsmScenarioOptions options;
+  testutil::ClusterOptions options;
   options.n = 4;
   options.f = 1;
-  options.engine = core::EngineKind::kGwts;
+  options.replica.engine = core::EngineKind::kGwts;
   options.clients = 1;
   options.commands_per_client = 256;
-  options.batch_size = 64;
+  options.client.builder.max_commands = 64;
   options.registry = registry;
-  testutil::BatchRsmScenario scenario(std::move(options));
+  testutil::Cluster scenario(std::move(options));
   scenario.run_until_done();
   ASSERT_TRUE(scenario.all_clients_done());
 

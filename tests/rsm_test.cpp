@@ -7,13 +7,24 @@
 #include "core/adversary.hpp"
 #include "net/delay_model.hpp"
 #include "rsm/command.hpp"
-#include "testutil/rsm_scenario.hpp"
+#include "testutil/cluster.hpp"
+#include "testutil/properties.hpp"
 
 namespace bla::rsm {
 namespace {
 
-using testutil::RsmScenario;
-using testutil::RsmScenarioOptions;
+using testutil::Cluster;
+using testutil::ClusterOptions;
+
+/// Options for RsmClient-script runs: (update, read) pairs per client.
+ClusterOptions script_options() {
+  ClusterOptions options;
+  options.workload = testutil::Workload::kRsmScript;
+  options.replica.max_rounds = 60;
+  // Alg. 7 reads need the decided values, not just their digests.
+  options.replica.digest_decide_notifications = false;
+  return options;
+}
 
 /// Byzantine replica that floods clients with fabricated decision values
 /// (a command nobody issued). The confirmation phase must make these
@@ -63,13 +74,13 @@ class RsmSweep : public ::testing::TestWithParam<Params> {};
 
 TEST_P(RsmSweep, PropertiesWithSilentByzantine) {
   const auto& p = GetParam();
-  RsmScenarioOptions options;
+  ClusterOptions options = script_options();
   options.n = p.n;
   options.f = p.f;
   options.seed = p.seed;
   options.clients = p.clients;
-  options.op_pairs = 2;
-  RsmScenario scenario(std::move(options));
+  options.commands_per_client = 2;
+  Cluster scenario(std::move(options));
   scenario.run();
   // Liveness: every operation of every client completes.
   ASSERT_TRUE(scenario.all_clients_done());
@@ -80,16 +91,16 @@ TEST_P(RsmSweep, PropertiesWithSilentByzantine) {
 
 TEST_P(RsmSweep, PropertiesWithFakeDecider) {
   const auto& p = GetParam();
-  RsmScenarioOptions options;
+  ClusterOptions options = script_options();
   options.n = p.n;
   options.f = p.f;
   options.seed = p.seed;
   options.clients = p.clients;
-  options.op_pairs = 2;
-  options.adversary = [n = p.n](net::NodeId) {
+  options.commands_per_client = 2;
+  options.adversary = [n = p.n](net::NodeId, const Cluster&) {
     return std::make_unique<FakeDecider>(n);
   };
-  RsmScenario scenario(std::move(options));
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
   const auto ops = scenario.all_ops();
@@ -121,15 +132,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Rsm, ReadsSeeGrowingCounter) {
   // The paper's motivating example: a grow-only counter. Reads along one
   // client's timeline see non-decreasing op counts.
-  RsmScenarioOptions options;
+  ClusterOptions options = script_options();
   options.n = 4;
   options.f = 1;
   options.clients = 1;
-  options.op_pairs = 3;
-  RsmScenario scenario(std::move(options));
+  options.commands_per_client = 3;
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
-  const auto& ops = scenario.clients()[0]->completed();
+  const auto& ops = scenario.rsm_clients()[0]->completed();
   std::size_t last_count = 0;
   std::size_t updates_before = 0;
   for (const auto& op : ops) {
@@ -195,14 +206,14 @@ TEST(Rsm, ByzantineClientCannotCorruptState) {
 }
 
 TEST(Rsm, AsynchronousDelays) {
-  RsmScenarioOptions options;
+  ClusterOptions options = script_options();
   options.n = 4;
   options.f = 1;
   options.clients = 2;
-  options.op_pairs = 2;
+  options.commands_per_client = 2;
   options.seed = 77;
   options.delay = std::make_unique<net::UniformDelay>(0.2, 3.0);
-  RsmScenario scenario(std::move(options));
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
   EXPECT_EQ(testutil::check_rsm_properties(scenario.all_ops(),
@@ -215,17 +226,18 @@ TEST(Rsm, ReadConfirmationsAgainstGsbsReplicas) {
   // the GWTS engine. The signature-based GSbS engine serves the same
   // replica protocol — and must yield the same §7.1 properties even with
   // a Byzantine slot fabricating decide notifications at the clients.
-  RsmScenarioOptions options;
-  options.engine = core::EngineKind::kGsbs;
+  ClusterOptions options = script_options();
+  options.replica.engine = core::EngineKind::kGsbs;
   options.n = 4;
   options.f = 1;
   options.clients = 2;
-  options.op_pairs = 3;
-  options.max_rounds = 80;
-  options.adversary = [](NodeId) -> std::unique_ptr<net::IProcess> {
+  options.commands_per_client = 3;
+  options.replica.max_rounds = 80;
+  options.adversary = [](NodeId,
+                        const Cluster&) -> std::unique_ptr<net::IProcess> {
     return std::make_unique<FakeDecider>(4);
   };
-  RsmScenario scenario(std::move(options));
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
   const auto ops = scenario.all_ops();
@@ -245,12 +257,12 @@ TEST(Rsm, ReadConfirmationsAgainstGsbsReplicas) {
 }
 
 TEST(Rsm, ReplicaStateMaterializesDecidedCommands) {
-  RsmScenarioOptions options;
+  ClusterOptions options = script_options();
   options.n = 4;
   options.f = 1;
   options.clients = 1;
-  options.op_pairs = 2;
-  RsmScenario scenario(std::move(options));
+  options.commands_per_client = 2;
+  Cluster scenario(std::move(options));
   scenario.run();
   ASSERT_TRUE(scenario.all_clients_done());
   // Every correct replica's materialized state holds all completed

@@ -27,7 +27,7 @@
 #include "net/socket_network.hpp"
 #include "obs/registry.hpp"
 #include "store/fetch.hpp"
-#include "testutil/socket_scenario.hpp"
+#include "testutil/cluster.hpp"
 #include "wire/wire.hpp"
 
 using namespace bla;
@@ -869,16 +869,47 @@ TEST(SocketFetch, FanoutAndPresumedLostRearmUnderRealLoss) {
 // Full-stack cluster scenarios over loopback TCP (testutil harness).
 // ---------------------------------------------------------------------------
 
-TEST(SocketCluster, CommitsClientWorkload) {
-  testutil::SocketClusterOptions opts;
+/// Four correct replicas on loopback TCP, `clients` batch clients of
+/// `commands` each. Timers are wall-clock-scale: the in-simulation
+/// defaults (tick=8s) would turn every lost frame into a multi-second
+/// stall on sockets.
+testutil::ClusterOptions socket_cluster(std::uint64_t seed,
+                                        std::size_t checkpoint_interval,
+                                        std::size_t commands,
+                                        std::size_t clients = 1) {
+  testutil::ClusterOptions opts;
+  opts.runtime = testutil::Runtime::kSocket;
   opts.n = 4;
   opts.f = 1;
-  opts.checkpoint_interval = 8;
-  opts.seed = 11;
-  testutil::SocketCluster cluster(opts);
+  opts.seed = seed;
+  opts.byz_ids = {4};  // no Byzantine slot: every replica is real
+  opts.registry = std::make_shared<obs::Registry>();
+  opts.replica.max_rounds = 0;  // the cluster runs as long as the test
+  opts.replica.checkpoint_interval = checkpoint_interval;
+  opts.replica.recovery.enabled = true;
+  opts.replica.recovery.tick = 0.1;
+  opts.replica.recovery.stall_after = 0.3;
+  opts.client.builder.max_commands = 16;
+  opts.client.retry.enabled = true;
+  opts.client.retry.deadline = 0.5;
+  opts.client.retry.backoff = 1.5;
+  opts.client.retry.max_attempts = 12;
+  opts.client.retry.tick = 0.1;
+  opts.clients = clients;
+  opts.commands_per_client = commands;
+  return opts;
+}
+
+std::uint64_t counter(const testutil::Cluster& cluster,
+                      const std::string& name) {
+  return cluster.registry()->counter(name).value();
+}
+
+TEST(SocketCluster, CommitsClientWorkload) {
+  testutil::Cluster cluster(socket_cluster(11, 8, 64));
   cluster.start();
 
-  const auto result = cluster.run_client(64, 30.0);
+  const auto result = cluster.run_client(0, 30.0);
   EXPECT_TRUE(result.done);
   EXPECT_EQ(result.submitted, 64u);
   EXPECT_EQ(result.dropped, 0u);
@@ -889,26 +920,22 @@ TEST(SocketCluster, CommitsClientWorkload) {
 // Satellite: the PR 7 decorator composes over SocketNetwork — seeded
 // drop/dup/reorder on a real socket backend, workload still commits.
 TEST(SocketCluster, FaultyNetworkComposesOverSockets) {
-  testutil::SocketClusterOptions opts;
-  opts.n = 4;
-  opts.f = 1;
-  opts.checkpoint_interval = 8;
-  opts.seed = 23;
-  opts.replica_faults.seed = 91;
-  opts.replica_faults.default_link.drop = 0.03;
-  opts.replica_faults.default_link.duplicate = 0.05;
-  opts.replica_faults.default_link.reorder = 0.10;
-  testutil::SocketCluster cluster(opts);
+  testutil::ClusterOptions opts = socket_cluster(23, 8, 48);
+  opts.fault_plan.seed = 91;
+  opts.fault_plan.default_link.drop = 0.03;
+  opts.fault_plan.default_link.duplicate = 0.05;
+  opts.fault_plan.default_link.reorder = 0.10;
+  testutil::Cluster cluster(std::move(opts));
   cluster.start();
 
-  const auto result = cluster.run_client(48, 60.0);
+  const auto result = cluster.run_client(0, 60.0);
   EXPECT_TRUE(result.done);
   EXPECT_EQ(result.failed, 0u);
   EXPECT_EQ(result.dropped, 0u);
   // The injector really fired on socket traffic.
-  EXPECT_GT(cluster.counter("fault/dropped") +
-                cluster.counter("fault/duplicated") +
-                cluster.counter("fault/reordered"),
+  EXPECT_GT(counter(cluster, "fault/dropped") +
+                counter(cluster, "fault/duplicated") +
+                counter(cluster, "fault/reordered"),
             0u);
   cluster.stop();
 }
@@ -918,41 +945,37 @@ TEST(SocketCluster, FaultyNetworkComposesOverSockets) {
 // quorum, restart it with EMPTY state, and watch it catch up through
 // kCkptPull/kCkptSnapshot while fresh commands still confirm.
 TEST(SocketCluster, CrashedReplicaRejoinsViaCheckpointCatchUp) {
-  testutil::SocketClusterOptions opts;
-  opts.n = 4;
-  opts.f = 1;
-  opts.checkpoint_interval = 4;  // aggressive: catch-up has snapshots
-  opts.seed = 31;
-  testutil::SocketCluster cluster(opts);
+  // Aggressive checkpointing, so catch-up has snapshots.
+  testutil::Cluster cluster(socket_cluster(31, 4, 48, /*clients=*/3));
   cluster.start();
 
   // Phase 1: baseline load so checkpoints exist cluster-wide.
-  const auto before = cluster.run_client(48, 30.0, 0);
+  const auto before = cluster.run_client(0, 30.0);
   ASSERT_TRUE(before.done);
   ASSERT_EQ(before.failed, 0u);
 
   // Phase 2: kill -9 replica 3 (state destroyed, peers see a reset).
   // The surviving n-1 = 3 >= byz_quorum keeps deciding.
   cluster.crash(3);
-  const auto during = cluster.run_client(48, 30.0, 1);
+  const auto during = cluster.run_client(1, 30.0);
   EXPECT_TRUE(during.done);
   EXPECT_EQ(during.failed, 0u);
 
   // Phase 3: restart replica 3 from nothing on the same port. It must
   // rejoin via checkpoint snapshots, not by replaying every round.
   const std::uint64_t adopted_before =
-      cluster.counter("node3/checkpoint/snapshots_adopted");
+      counter(cluster, "node3/checkpoint/snapshots_adopted");
   cluster.restart(3);
 
   // New commands confirm while the rejoiner catches up.
-  const auto after = cluster.run_client(48, 30.0, 2);
+  const auto after = cluster.run_client(2, 30.0);
   EXPECT_TRUE(after.done);
   EXPECT_EQ(after.failed, 0u);
 
   // The restarted replica adopted at least one snapshot — the PR 9
   // catch-up path, now over real sockets and a real dead process.
   EXPECT_TRUE(eventually(20.0, [&] {
-    return cluster.counter("node3/checkpoint/snapshots_adopted") >
+    return counter(cluster, "node3/checkpoint/snapshots_adopted") >
            adopted_before;
   }));
   cluster.stop();

@@ -16,7 +16,7 @@
 #include "rbc/bracha.hpp"
 #include "store/fetch.hpp"
 #include "store/ref.hpp"
-#include "testutil/batch_scenario.hpp"
+#include "testutil/cluster.hpp"
 
 namespace bla::store {
 namespace {
@@ -530,17 +530,17 @@ class PullSweep : public ::testing::TestWithParam<core::EngineKind> {};
 
 TEST_P(PullSweep, BatchedRsmLivesUnderReorderingDelays) {
   for (const std::uint64_t seed : {1ull, 9ull, 23ull}) {
-    testutil::BatchRsmScenarioOptions options;
+    testutil::ClusterOptions options;
     options.n = 4;
     options.f = 1;
     options.seed = seed;
-    options.engine = GetParam();
+    options.replica.engine = GetParam();
     options.clients = 1;
     options.commands_per_client = 48;
-    options.batch_size = 16;
-    options.max_rounds = 120;
+    options.client.builder.max_commands = 16;
+    options.replica.max_rounds = 120;
     options.delay = std::make_unique<net::UniformDelay>(0.5, 4.0);
-    testutil::BatchRsmScenario scenario(std::move(options));
+    testutil::Cluster scenario(std::move(options));
     scenario.run_until_done();
     ASSERT_TRUE(scenario.all_clients_done()) << "seed " << seed;
     scenario.run();  // drain residual rounds
