@@ -11,7 +11,7 @@
 // signature-verification count, which shrinks as 1/B.
 //
 // Verdict: on the simulated network, batch=64 must beat batch=1 on
-// commands/sec for BOTH engines. A thread-network panel repeats the
+// commands/sec for BOTH engines. A loopback-socket panel repeats the
 // measurement under real OS concurrency (its speed and liveness are
 // informational — wall-clock on shared CI hardware is too noisy to gate
 // on — but a live run must leave the workload on replicas 0..f).
@@ -82,8 +82,8 @@ Result run(testutil::Runtime runtime, core::EngineKind engine,
   }
   const double secs = elapsed_seconds(t0);
   if (!sim) {
-    // Let the replicas finish their rounds, then join every thread so
-    // replica state is safe to read.
+    // Let the replicas finish their rounds, then join every event loop
+    // so replica state is safe to read.
     cluster.wait_quiescent(3000);
     cluster.stop();
   }
@@ -234,15 +234,15 @@ int main(int argc, char** argv) {
   }
 
   bench::row("%s", "");
-  bench::row("thread-network panel (real OS concurrency; speed and "
+  bench::row("socket panel (loopback TCP, real OS concurrency; speed and "
              "liveness informational)");
   bench::row("%-6s %6s %6s | %12s %6s %6s", "engine", "B", "cmds",
              "cmds/sec", "live", "state");
   for (const EngineRow& e : engines) {
     for (const std::size_t b : {1u, 64u}) {
-      const Result r = run(testutil::Runtime::kThread, e.kind, b,
+      const Result r = run(testutil::Runtime::kSocket, e.kind, b,
                            /*total_commands=*/64, use_ed25519);
-      // Speed and liveness are informational — real-thread wall clock on
+      // Speed and liveness are informational — real-socket wall clock on
       // shared hardware is too noisy (and timeout-prone) to gate the
       // exit code on. A live run whose replicas miss commands is not.
       all_ok = all_ok && (!r.live || r.state_ok);
@@ -256,6 +256,6 @@ int main(int argc, char** argv) {
                  "workload lands durably at every batch size, batch=64 "
                  "beats batch=1 on commands/sec for both engines, the "
                  "lifecycle histograms captured every stage, and every live "
-                 "thread run left the workload on replicas 0..f");
+                 "socket run left the workload on replicas 0..f");
   return all_ok ? 0 : 1;
 }

@@ -6,11 +6,10 @@
 namespace bla::batch {
 
 BatchVerifier::BatchVerifier(std::shared_ptr<const crypto::ISigner> verifier,
-                             std::shared_ptr<store::BodyStore> store,
-                             std::size_t max_cache_entries)
+                             std::shared_ptr<store::BodyStore> store)
     : verifier_(std::move(verifier)),
-      store_(std::move(store)),
-      max_cache_entries_(max_cache_entries) {
+      store_(store ? std::move(store)
+                   : std::make_shared<store::BodyStore>()) {
   if (!verifier_) {
     throw std::invalid_argument("BatchVerifier requires a signing handle");
   }
@@ -37,9 +36,7 @@ bool BatchVerifier::verify(const SignedCommandBatch& b) {
   key_hash.update(digest);
   key_hash.update(b.signature);
   const crypto::Sha256::Digest cache_key = key_hash.finish();
-  const bool hit = store_ ? store_->verified_contains(cache_key)
-                          : verified_.contains(cache_key);
-  if (hit) {
+  if (store_->verified_contains(cache_key)) {
     ++cache_hits_;
     return true;
   }
@@ -48,12 +45,7 @@ bool BatchVerifier::verify(const SignedCommandBatch& b) {
     ++rejected_;
     return false;
   }
-  if (store_) {
-    store_->verified_insert(cache_key, max_cache_entries_);
-  } else {
-    if (verified_.size() >= max_cache_entries_) verified_.clear();
-    verified_.insert(cache_key);
-  }
+  store_->verified_insert(cache_key);
   return true;
 }
 

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 
 #include "batch/batch.hpp"
 #include "crypto/signer.hpp"
@@ -25,14 +24,14 @@ namespace bla::batch {
 class BatchVerifier {
 public:
   /// `verifier` may be any node's signing handle — ISigner::verify is
-  /// global (the PKI distributes every public key). When `store` is
-  /// given, the verified-digest cache lives in the shared BodyStore —
-  /// the same store that backs digest-only dissemination — so a body is
-  /// signature-checked exactly once per replica no matter which layer
-  /// (client admission, disclosure, decide-time expansion) saw it first.
+  /// global (the PKI distributes every public key). The verified-digest
+  /// cache lives in `store` — the same store that backs digest-only
+  /// dissemination — so a body is signature-checked exactly once per
+  /// replica no matter which layer (client admission, disclosure,
+  /// decide-time expansion) saw it first. A private store is created
+  /// when none is given.
   explicit BatchVerifier(std::shared_ptr<const crypto::ISigner> verifier,
-                         std::shared_ptr<store::BodyStore> store = nullptr,
-                         std::size_t max_cache_entries = std::size_t{1} << 16);
+                         std::shared_ptr<store::BodyStore> store = nullptr);
 
   /// True iff the batch is structurally sound and its single signature
   /// checks out against the proposer's key (or its digest is already in
@@ -47,13 +46,7 @@ public:
 
 private:
   std::shared_ptr<const crypto::ISigner> verifier_;
-  std::shared_ptr<store::BodyStore> store_;  // may be null (own cache)
-  std::size_t max_cache_entries_;
-  // Digests of batches whose signature already verified (used when no
-  // shared store is attached). Bounded: on overflow the cache is cleared
-  // (re-verification is correct, just slower), so Byzantine floods
-  // cannot grow it without bound.
-  std::set<crypto::Sha256::Digest> verified_;
+  std::shared_ptr<store::BodyStore> store_;
   std::uint64_t signature_checks_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t rejected_ = 0;

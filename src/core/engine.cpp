@@ -13,20 +13,14 @@ std::unique_ptr<IAgreementEngine> make_engine(
     IAgreementEngine::DecideFn on_decide) {
   switch (kind) {
     case EngineKind::kGwts:
-      return std::make_unique<GwtsProcess>(
-          GwtsConfig{config.self, config.n, config.f, config.max_rounds,
-                     config.digest_refs, config.store, config.registry,
-                     config.recovery, config.checkpoint_interval},
-          std::move(on_decide));
+      return std::make_unique<GwtsProcess>(GwtsConfig{config},
+                                           std::move(on_decide));
     case EngineKind::kGsbs:
       if (!signer) {
         throw std::invalid_argument("GSbS engine requires a signer");
       }
-      return std::make_unique<GsbsProcess>(
-          GsbsConfig{config.self, config.n, config.f, config.max_rounds,
-                     config.digest_refs, config.store, config.registry,
-                     config.recovery, config.checkpoint_interval},
-          std::move(signer), std::move(on_decide));
+      return std::make_unique<GsbsProcess>(config, std::move(signer),
+                                           std::move(on_decide));
   }
   throw std::invalid_argument("unknown engine kind");
 }

@@ -193,7 +193,7 @@ ValueSet proposal_union(const std::vector<ProvenBatch>& proposal) {
 // Construction / submission.
 // ---------------------------------------------------------------------------
 
-GsbsProcess::GsbsProcess(GsbsConfig config,
+GsbsProcess::GsbsProcess(EngineConfig config,
                          std::shared_ptr<const crypto::ISigner> signer,
                          DecideFn on_decide)
     : config_(std::move(config)),

@@ -92,42 +92,19 @@ struct DecidedCert {
   std::vector<SignedAck> acks;
 };
 
-struct GsbsConfig {
-  NodeId self = 0;
-  std::size_t n = 0;
-  std::size_t f = 0;
-  std::uint64_t max_rounds = 0;  // 0 = unbounded
-  /// Digest-only dissemination: safe-acks, proposals (with their
-  /// proofs), and decided certificates carry 32-byte value references;
-  /// INIT batches stay inline (first contact). Missing bodies are pulled
-  /// via the store protocol. false = full frames (bench baseline).
-  bool digest_refs = true;
-  /// Shared content-addressed body store (created internally when null).
-  std::shared_ptr<store::BodyStore> store;
-  /// Observability registry shared down through the fetcher; engine
-  /// counters register as "node<self>/gsbs/*" — including sig_checks,
-  /// the signature-verification tally ROADMAP item 4 (crypto off the
-  /// critical path) needs for its before/after. Created internally when
-  /// null.
-  std::shared_ptr<obs::Registry> registry;
-  /// Opt-in lossy-link recovery (see core::RecoveryConfig). Default off.
-  RecoveryConfig recovery;
-  /// Checkpoint + unified GC (src/checkpoint/). For GSbS the manager
-  /// evicts checkpointed bodies (the store fallback re-serves them),
-  /// prunes round-indexed collections, and provides the snapshot
-  /// laggard catch-up; ack-req frames advertise the sender's root so
-  /// vouchers accumulate. The signed proposal/accepted maps stay full —
-  /// their encodings are signature-pinned, so the [root]+delta *frame*
-  /// compaction is GWTS-only for now (see ROADMAP). 0 = disabled.
-  std::size_t checkpoint_interval = 0;
-};
 
 class GsbsProcess : public IAgreementEngine {
 public:
   using Decision = core::Decision;
   using DecideFn = IAgreementEngine::DecideFn;
 
-  GsbsProcess(GsbsConfig config,
+  /// Safe-acks, proposals (with their proofs) and decided certificates
+  /// ship digest refs; INIT batches stay inline. Counters register as
+  /// "node<self>/gsbs/*", including sig_checks. With checkpointing on,
+  /// the signed proposal/accepted maps stay full (their encodings are
+  /// signature-pinned); checkpoints evict bodies, prune round-indexed
+  /// collections and drive snapshot catch-up.
+  GsbsProcess(EngineConfig config,
               std::shared_ptr<const crypto::ISigner> signer,
               DecideFn on_decide = nullptr);
 
@@ -247,7 +224,7 @@ private:
   void on_decided(NodeId from, wire::Decoder& dec,
                   store::RefResolver& resolver, wire::BytesView frame);
 
-  GsbsConfig config_;
+  EngineConfig config_;
   std::shared_ptr<const crypto::ISigner> signer_;
   DecideFn on_decide_;
   net::IContext* ctx_ = nullptr;

@@ -39,35 +39,12 @@
 
 namespace bla::core {
 
-struct GwtsConfig {
-  NodeId self = 0;
-  std::size_t n = 0;
-  std::size_t f = 0;
-  /// Stop starting new rounds after this many (0 = unbounded). Processes
-  /// keep serving as acceptors after exhausting the budget so peers still
-  /// make progress; simulations use this to reach quiescence.
-  std::uint64_t max_rounds = 0;
-  /// Digest-only dissemination: Bracha ECHO/READY carry payload digests,
-  /// and ack/proposal value sets ship 32-byte references instead of
-  /// bodies (disclosures stay inline — they are first contact with the
-  /// content). false = full-frame dissemination (bench baseline).
-  bool digest_refs = true;
-  /// Shared content-addressed body store (created internally when null;
-  /// the RSM replica passes its own so batch bodies are stored once).
-  std::shared_ptr<store::BodyStore> store;
-  /// Observability registry shared down through the RBC and fetcher;
-  /// engine counters register as "node<self>/gwts/*". Created internally
-  /// when null (with command-lifecycle tracking disabled — nobody reads a
-  /// private registry's lifecycle, and tracking hashes every value).
-  std::shared_ptr<obs::Registry> registry;
-  /// Opt-in lossy-link recovery (see core::RecoveryConfig). Default off.
-  RecoveryConfig recovery;
-  /// Checkpoint + unified GC: commit the decided set every this many new
-  /// elements, evict its bodies, compact accepted/proposed state to
-  /// [root]+delta frames, and expire old Bracha instances. 0 = disabled
-  /// (all pre-checkpoint behavior, except the one-byte compact-set flag
-  /// prefix on ack-req/ack/nack frames, which is always present).
-  std::size_t checkpoint_interval = 0;
+/// The shared engine config plus GWTS's one extra knob. GWTS ships
+/// ack/proposal value sets as digest refs (disclosures stay inline —
+/// first contact with the content), registers counters as
+/// "node<self>/gwts/*", and with checkpointing on compacts
+/// accepted/proposed state to [root]+delta frames.
+struct GwtsConfig : EngineConfig {
   /// Effective RBC frame cap (tests scale it down to exercise the
   /// over-cap compact-to-checkpoint retry without 16MB frames).
   std::size_t max_payload_bytes = rbc::kMaxPayloadBytes;

@@ -4,7 +4,7 @@
 // Two uses in this repository:
 //  * pairwise authenticators realizing the paper's minimal assumption of
 //    authenticated channels (§3) — the simulator enforces sender identity,
-//    and the threaded runtime can additionally MAC frames;
+//    and the socket runtime can additionally MAC frames;
 //  * the HmacSigner simulation signature scheme (see signer.hpp).
 
 #include <array>

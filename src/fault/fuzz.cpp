@@ -72,7 +72,7 @@ std::string FuzzSchedule::spec() const {
   };
   kv("seed", std::to_string(seed));
   kv("engine", engine == core::EngineKind::kGwts ? "gwts" : "gsbs");
-  kv("net", net == testutil::Runtime::kSim ? "sim" : "thread");
+  kv("net", net == testutil::Runtime::kSim ? "sim" : "socket");
   kv("n", std::to_string(n));
   kv("f", std::to_string(f));
   kv("clients", std::to_string(clients));
@@ -182,8 +182,8 @@ std::optional<FuzzSchedule> FuzzSchedule::parse(std::string_view spec) {
     } else if (key == "net") {
       if (value == "sim") {
         s.net = testutil::Runtime::kSim;
-      } else if (value == "thread") {
-        s.net = testutil::Runtime::kThread;
+      } else if (value == "socket") {
+        s.net = testutil::Runtime::kSocket;
       } else {
         return std::nullopt;
       }
@@ -305,8 +305,8 @@ FuzzSchedule generate_schedule(std::uint64_t seed, core::EngineKind engine,
   }
 
   // Fault plan. Abstract time units are simulator message delays; the
-  // thread runtime's windows are the same shape scaled to wall seconds.
-  const double ts = net == testutil::Runtime::kThread ? kThreadTimeScale : 1.0;
+  // socket runtime's windows are the same shape scaled to wall seconds.
+  const double ts = net == testutil::Runtime::kSocket ? kWallTimeScale : 1.0;
   s.plan.seed = splitmix64(rng) | 1;
   s.plan.default_link.drop = 0.005 * static_cast<double>(splitmix64(rng) % 4);
   s.plan.default_link.duplicate =
@@ -400,7 +400,7 @@ std::unique_ptr<net::IProcess> make_adversary(AdversaryKind kind,
 /// The schedule as cluster options, with engine recovery and client
 /// retransmission on at the runtime's time scale.
 testutil::ClusterOptions cluster_options(const FuzzSchedule& s) {
-  const bool threads = s.net == testutil::Runtime::kThread;
+  const bool wall = s.net == testutil::Runtime::kSocket;
   testutil::ClusterOptions o;
   o.runtime = s.net;
   o.n = s.n;
@@ -423,7 +423,7 @@ testutil::ClusterOptions cluster_options(const FuzzSchedule& s) {
     // The laggard window: replica 0 sleeps through the bulk of the run
     // and recovers late, when peers have checkpointed past its horizon —
     // the snapshot catch-up path is its only way back.
-    const double ts = threads ? kThreadTimeScale : 1.0;
+    const double ts = wall ? kWallTimeScale : 1.0;
     o.fault_plan.crashes.push_back({0, ts * 10.0, ts * 220.0});
   }
   o.replica.engine = s.engine;
@@ -434,7 +434,7 @@ testutil::ClusterOptions cluster_options(const FuzzSchedule& s) {
   o.client.builder.max_commands = s.batch_size;
   o.client.retry.enabled = true;
   o.client.retry.max_attempts = 8;
-  if (threads) {
+  if (wall) {
     o.replica.recovery.tick = 0.03;
     o.replica.recovery.stall_after = 0.06;
     o.client.retry.deadline = 0.1;
@@ -559,12 +559,12 @@ ShrinkOutcome shrink(const FuzzSchedule& failing, std::size_t max_runs) {
     if (still_fails(out.schedule, v)) out.violation = v;
   }
 
-  // Prefer the deterministic runtime: a thread violation that also
+  // Prefer the deterministic runtime: a socket violation that also
   // reproduces on the simulator shrinks (and replays) reliably.
-  if (out.schedule.net == testutil::Runtime::kThread) {
+  if (out.schedule.net == testutil::Runtime::kSocket) {
     FuzzSchedule cand = out.schedule;
     cand.net = testutil::Runtime::kSim;
-    const double scale = 1.0 / kThreadTimeScale;
+    const double scale = 1.0 / kWallTimeScale;
     for (PartitionSpec& p : cand.plan.partitions) {
       p.start *= scale;
       p.heal *= scale;

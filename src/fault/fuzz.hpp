@@ -3,7 +3,7 @@
 //
 // A FuzzSchedule is a complete, seed-derived description of one system
 // run: topology (n, f), engine (GWTS / GSbS), runtime (deterministic
-// simulator / thread runtime), client workload, a cocktail of at most f
+// simulator / loopback sockets), client workload, a cocktail of at most f
 // Byzantine adversaries, and a FaultPlan of link faults, partitions, and
 // crash windows. Schedules round-trip through a one-line `key=value;`
 // spec string, so any failure reproduces from a single printed line:
@@ -56,8 +56,7 @@ enum class AdversaryKind : std::uint8_t {
 struct FuzzSchedule {
   std::uint64_t seed = 1;  // master seed: workload + adversary randomness
   core::EngineKind engine = core::EngineKind::kGwts;
-  /// Runtime the schedule runs on: kSim or kThread (the spec codec and
-  /// run_schedule() accept no other).
+  /// Runtime the schedule runs on: kSim or kSocket.
   testutil::Runtime net = testutil::Runtime::kSim;
   std::size_t n = 4;
   std::size_t f = 1;
@@ -83,10 +82,10 @@ struct FuzzSchedule {
       std::string_view spec);
 };
 
-/// Thread-runtime schedules use wall seconds; this is the factor applied
-/// to the generator's abstract time units (and inverted when shrink()
-/// moves a thread schedule onto the simulator).
-inline constexpr double kThreadTimeScale = 0.01;
+/// Socket schedules use wall seconds; this is the factor applied to the
+/// generator's abstract time units (and inverted when shrink() moves a
+/// socket schedule onto the simulator).
+inline constexpr double kWallTimeScale = 0.01;
 
 /// Derives a full schedule from (seed, engine, net). Same triple, same
 /// schedule — the rotating-seed CI job relies on this.

@@ -738,4 +738,31 @@ void SocketNetwork::deliver(NodeId from, wire::BytesView payload) {
   process_->on_message(*ctx_, from, payload);
 }
 
+bool wait_quiescent(const std::vector<const SocketNetwork*>& nets,
+                    int timeout_ms, int idle_polls) {
+  using namespace std::chrono;
+  const auto traffic = [&nets] {
+    std::uint64_t total = 0;
+    for (const SocketNetwork* net : nets) {
+      const NodeMetrics m = net->metrics();
+      total += m.messages_sent + m.messages_delivered;
+    }
+    return total;
+  };
+  const auto deadline = steady_clock::now() + milliseconds(timeout_ms);
+  std::uint64_t last = traffic();
+  int consecutive_idle = 0;
+  while (steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(5));
+    const std::uint64_t now = traffic();
+    if (now == last) {
+      if (++consecutive_idle >= idle_polls) return true;
+    } else {
+      consecutive_idle = 0;
+      last = now;
+    }
+  }
+  return false;
+}
+
 }  // namespace bla::net

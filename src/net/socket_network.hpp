@@ -1,10 +1,10 @@
 #pragma once
-// SocketNetwork — the third INetwork-style runtime (ROADMAP item 2):
+// SocketNetwork — the real-concurrency runtime next to SimNetwork:
 // epoll-driven non-blocking TCP hosting ONE IProcess per instance, so
 // n replicas + clients run as separate OS processes (replicad/loadgen)
 // or as separate event loops inside one test binary. The same protocol
-// objects that run on SimNetwork and ThreadNetwork run here unchanged —
-// IProcess/IContext is still the only contract.
+// objects that run on SimNetwork run here unchanged — IProcess/IContext
+// is still the only contract.
 //
 // Topology and identity. The config names the cluster members' ids
 // [0, cluster_n) and their listen addresses; ids >= cluster_n are
@@ -36,7 +36,7 @@
 //
 // Threading: one event-loop thread per instance. All process callbacks
 // (on_start/on_message/on_timer) run on that thread, so process code
-// needs no locking — the ThreadNetwork contract. Other threads interact
+// needs no locking. Other threads interact
 // through call(), which runs a closure on the loop thread and waits, or
 // through the hosted process's own atomic accessors (BatchClient::done).
 
@@ -262,5 +262,11 @@ private:
   obs::Counter obs_deadline_closes_;
   obs::Gauge obs_established_;
 };
+
+/// Blocks until the traffic totals (messages sent + delivered) summed
+/// over `nets` stay unchanged for `idle_polls` consecutive 5ms polls, or
+/// until `timeout_ms` passes. True iff the networks went quiet.
+bool wait_quiescent(const std::vector<const SocketNetwork*>& nets,
+                    int timeout_ms = 10'000, int idle_polls = 5);
 
 }  // namespace bla::net

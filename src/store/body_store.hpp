@@ -17,7 +17,7 @@
 // BatchVerifier keeps its verified-digest cache here so a body is
 // signature-checked exactly once per replica no matter which layer saw it
 // first. A mutex makes it safe to share across the replica's handler
-// thread and any observer threads (the thread-network bench polls stats).
+// thread and any observer threads.
 //
 // GC: the checkpoint subsystem (src/checkpoint/) evicts bodies covered
 // by a committed checkpoint via erase() and installs a fallback with
@@ -130,17 +130,19 @@ public:
   // -- verified-digest cache (merged from BatchVerifier) -------------------
   // Keys are whatever the verifying layer uses (BatchVerifier hashes
   // batch digest + signature bytes); the store only provides the bounded
-  // set. Bounded: cleared on overflow — re-verification is correct, just
-  // slower — so Byzantine floods cannot grow it without bound.
+  // set. Bounded: cleared on overflow past kMaxVerifiedEntries —
+  // re-verification is correct, just slower — so Byzantine floods cannot
+  // grow it without bound.
+  static constexpr std::size_t kMaxVerifiedEntries = std::size_t{1} << 16;
 
   [[nodiscard]] bool verified_contains(const Digest& key) const {
     std::lock_guard lock(mutex_);
     return verified_.contains(key);
   }
 
-  void verified_insert(const Digest& key, std::size_t max_entries) {
+  void verified_insert(const Digest& key) {
     std::lock_guard lock(mutex_);
-    if (verified_.size() >= max_entries) verified_.clear();
+    if (verified_.size() >= kMaxVerifiedEntries) verified_.clear();
     verified_.insert(key);
   }
 

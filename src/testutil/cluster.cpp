@@ -48,10 +48,6 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
       sim_ = std::make_unique<net::SimNetwork>(std::move(cfg));
       break;
     }
-    case Runtime::kThread:
-      threads_ = std::make_unique<net::ThreadNetwork>();
-      if (options_.registry) threads_->attach_registry(options_.registry);
-      break;
     case Runtime::kSocket:
       for (std::size_t id = 0; id < options_.n; ++id) {
         const int fd = net::listen_on(net::SocketAddr{"127.0.0.1", 0});
@@ -69,8 +65,6 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
     auto node = make_node(id);
     if (sim_) {
       sim_->add_process(std::move(node));
-    } else if (threads_) {
-      threads_->add_process(std::move(node));
     } else {
       unhosted_.push_back(std::move(node));
     }
@@ -160,20 +154,10 @@ std::uint64_t Cluster::run(std::uint64_t max_events) {
   return sim_->run(max_events);
 }
 
-void Cluster::start() {
-  if (threads_) {
-    threads_->start();
-    return;
-  }
-  for (std::size_t id = 0; id < options_.n; ++id) {
-    if (!sockets_[id]) {
-      host_socket(static_cast<net::NodeId>(id), listen_fds_[id],
-                  std::move(unhosted_[id]));
-    }
-  }
-}
+void Cluster::start() { host_built(0, options_.n); }
 
 bool Cluster::wait_until_done(double timeout_sec) {
+  host_built(options_.n, sockets_.size());
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_sec);
   while (!all_clients_done() && std::chrono::steady_clock::now() < deadline) {
@@ -183,23 +167,38 @@ bool Cluster::wait_until_done(double timeout_sec) {
 }
 
 bool Cluster::wait_quiescent(int timeout_ms) {
-  return threads_->wait_quiescent(timeout_ms);
+  if (sim_) {
+    constexpr std::uint64_t kBudget = 400'000'000;
+    return run(kBudget) < kBudget;
+  }
+  std::vector<const net::SocketNetwork*> hosted;
+  for (const auto& net : sockets_) {
+    if (net) hosted.push_back(net.get());
+  }
+  return net::wait_quiescent(hosted, timeout_ms);
 }
 
 void Cluster::stop() {
-  if (threads_) threads_->stop();
   for (auto& net : sockets_) {
-    if (net && net->running()) net->stop();
+    if (net) net->kill();
   }
 }
 
-void Cluster::host_socket(net::NodeId id, int listen_fd,
+void Cluster::host_built(std::size_t begin, std::size_t end) {
+  for (std::size_t id = begin; id < end; ++id) {
+    if (!sockets_[id] && unhosted_[id]) {
+      host_socket(static_cast<net::NodeId>(id), std::move(unhosted_[id]));
+    }
+  }
+}
+
+void Cluster::host_socket(net::NodeId id,
                           std::unique_ptr<net::IProcess> process) {
   net::SocketNetwork::Config nc;
   nc.self = id;
   nc.cluster_n = options_.n;
   nc.peers = peer_addrs_;
-  nc.listen_fd = listen_fd;
+  nc.listen_fd = id < options_.n ? listen_fds_[id] : -1;
   nc.max_clients = options_.clients;  // match the signer-set sizing
   nc.seed = options_.seed * 1000003ULL + id;
   nc.reconnect_base = 0.02;
@@ -231,14 +230,14 @@ void Cluster::restart(std::size_t id) {
   }
   if (fd < 0) throw std::runtime_error("Cluster: rebind failed");
   listen_fds_[id] = fd;
-  host_socket(static_cast<net::NodeId>(id), fd,
+  host_socket(static_cast<net::NodeId>(id),
               make_node(static_cast<net::NodeId>(id)));
 }
 
 Cluster::ClientResult Cluster::run_client(std::size_t index,
                                           double timeout_sec) {
-  const auto id = static_cast<net::NodeId>(options_.n + index);
-  host_socket(id, /*listen_fd=*/-1, std::move(unhosted_.at(id)));
+  const std::size_t id = options_.n + index;
+  host_built(id, id + 1);
   const batch::BatchClient* client = clients_.at(index);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_sec);
@@ -281,6 +280,35 @@ core::ValueSet Cluster::submitted_commands() const {
     }
   }
   return out;
+}
+
+std::vector<std::unique_ptr<net::SocketNetwork>> start_loopback(
+    std::vector<std::unique_ptr<net::IProcess>> processes,
+    std::shared_ptr<obs::Registry> registry) {
+  std::vector<int> fds;
+  std::vector<std::string> peers;
+  for (std::size_t id = 0; id < processes.size(); ++id) {
+    const int fd = net::listen_on(net::SocketAddr{"127.0.0.1", 0});
+    if (fd < 0) {
+      for (const int bound : fds) ::close(bound);
+      throw std::runtime_error("start_loopback: bind failed");
+    }
+    fds.push_back(fd);
+    peers.push_back("127.0.0.1:" + std::to_string(net::local_port(fd)));
+  }
+  std::vector<std::unique_ptr<net::SocketNetwork>> nets;
+  for (std::size_t id = 0; id < processes.size(); ++id) {
+    nets.push_back(std::make_unique<net::SocketNetwork>(
+        net::SocketNetwork::Config{.self = static_cast<net::NodeId>(id),
+                                   .cluster_n = processes.size(),
+                                   .peers = peers,
+                                   .listen_fd = fds[id],
+                                   .seed = id + 1,  // decorrelate redials
+                                   .registry = registry}));
+    nets.back()->host(std::move(processes[id]));
+  }
+  for (auto& net : nets) net->start();
+  return nets;
 }
 
 }  // namespace bla::testutil

@@ -14,14 +14,15 @@
 //
 // Hosting (Runtime) decides nothing else:
 //   kSim     one deterministic SimNetwork: run_until_done() / run();
-//   kThread  one ThreadNetwork, a thread per process: start() /
-//            wait_until_done() / wait_quiescent() / stop();
-//   kSocket  a SocketNetwork event loop per process over loopback TCP.
-//            start() hosts the replicas; run_client(i) hosts client i and
-//            drives it to completion. crash(i) is kill -9 fidelity (no
-//            drain, replica state destroyed); restart(i) brings a FRESH
-//            replica up on the original port, so catching up through the
-//            checkpoint protocol is what a test observes.
+//   kSocket  a SocketNetwork event loop per process over loopback TCP,
+//            driven by start() / wait_until_done() / wait_quiescent() /
+//            stop(). start() hosts the replicas; clients are hosted
+//            lazily, all at once by wait_until_done() or one at a time by
+//            run_client(i), which drives client i to completion. crash(i)
+//            is kill -9 fidelity (no drain, replica state destroyed);
+//            restart(i) brings a FRESH replica up on the original port,
+//            so catching up through the checkpoint protocol is what a
+//            test observes.
 //
 // Socket port discipline: every replica listener is bound on port 0
 // FIRST and the kernel-assigned ports read back before any address map
@@ -37,7 +38,6 @@
 #include "fault/fault.hpp"
 #include "net/sim_network.hpp"
 #include "net/socket_network.hpp"
-#include "net/thread_network.hpp"
 #include "obs/registry.hpp"
 #include "rsm/client.hpp"
 #include "rsm/replica.hpp"
@@ -45,7 +45,7 @@
 
 namespace bla::testutil {
 
-enum class Runtime : std::uint8_t { kSim, kThread, kSocket };
+enum class Runtime : std::uint8_t { kSim, kSocket };
 
 enum class Workload : std::uint8_t {
   kBatch,      // BatchClients (src/batch/) streaming encoded commands
@@ -104,18 +104,21 @@ public:
   std::uint64_t run(std::uint64_t max_events = 400'000'000);
   [[nodiscard]] net::SimNetwork& network() { return *sim_; }
 
-  // -- kThread / kSocket ---------------------------------------------------
-  /// kThread: starts every node thread. kSocket: starts every replica's
-  /// event loop (listeners are already bound).
-  void start();
-  /// kThread: polls until every client is done or `timeout_sec` passes.
-  bool wait_until_done(double timeout_sec);
-  /// kThread: waits for the runtime to go idle (see ThreadNetwork).
-  bool wait_quiescent(int timeout_ms);
-  /// Graceful stop of everything still running; state stays readable.
-  void stop();
-
   // -- kSocket -------------------------------------------------------------
+  /// Starts every replica's event loop (listeners are already bound).
+  void start();
+  /// Hosts every client not hosted yet, then polls until every client is
+  /// done or `timeout_sec` passes.
+  bool wait_until_done(double timeout_sec);
+  /// Waits until no hosted network's traffic totals move for a few
+  /// consecutive polls (see net::wait_quiescent). kSim: runs the event
+  /// queue dry instead; true iff it drained within the default budget.
+  bool wait_quiescent(int timeout_ms);
+  /// Stops everything still running and joins every event loop; state
+  /// stays readable. Queued frames are discarded, not drained: every
+  /// peer is going down too, so a drain would only wait out each
+  /// network's drain_timeout in turn.
+  void stop();
   /// kill -9 equivalent: abrupt network teardown + replica destruction.
   void crash(std::size_t id);
   /// Fresh replica + network on the crashed replica's original port.
@@ -170,15 +173,17 @@ private:
   [[nodiscard]] std::unique_ptr<net::IProcess> make_node(net::NodeId id);
   /// Position of replica `id` in correct_replicas().
   [[nodiscard]] std::size_t replica_slot(net::NodeId id) const;
-  /// kSocket: hosts `process` as node `id` (listen_fd < 0: dial only).
-  void host_socket(net::NodeId id, int listen_fd,
-                   std::unique_ptr<net::IProcess> process);
+  /// kSocket: hosts every node in [begin, end) still waiting in
+  /// `unhosted_`.
+  void host_built(std::size_t begin, std::size_t end);
+  /// kSocket: hosts `process` as node `id` (replicas on their pre-bound
+  /// listener, clients dial only).
+  void host_socket(net::NodeId id, std::unique_ptr<net::IProcess> process);
 
   ClusterOptions options_;
   std::shared_ptr<crypto::ISignerSet> signers_;
   std::unique_ptr<fault::FaultyNetwork> faulty_;  // engaged iff plan set
   std::unique_ptr<net::SimNetwork> sim_;
-  std::unique_ptr<net::ThreadNetwork> threads_;
   // kSocket: one network per node id; built processes wait in `unhosted_`
   // until start() / run_client() hosts them.
   std::vector<std::unique_ptr<net::SocketNetwork>> sockets_;
@@ -192,5 +197,13 @@ private:
   std::vector<rsm::RsmClient*> rsm_clients_;
   core::ValueSet expected_;
 };
+
+/// Hosts processes[i] as member i of a loopback TCP cluster of
+/// processes.size() SocketNetworks, every listener bound on port 0 before
+/// any address map exists, and starts them all. For protocol-level tests
+/// that need real concurrency without the RSM stack Cluster builds.
+[[nodiscard]] std::vector<std::unique_ptr<net::SocketNetwork>> start_loopback(
+    std::vector<std::unique_ptr<net::IProcess>> processes,
+    std::shared_ptr<obs::Registry> registry = nullptr);
 
 }  // namespace bla::testutil

@@ -412,6 +412,23 @@ TEST(BatchedRsm, SingleCommandBatchesDegradeToSeedBehaviour) {
   }
 }
 
+TEST(BatchedRsm, SimWaitQuiescentRunsTheQueueDry) {
+  // The real-runtime drive's quiescence wait is also defined on the
+  // simulator: it runs the event queue dry instead of polling traffic.
+  ClusterOptions options;
+  options.n = 4;
+  options.f = 1;
+  options.commands_per_client = 8;
+  options.replica.max_rounds = 40;
+  Cluster scenario(std::move(options));
+  EXPECT_TRUE(scenario.wait_quiescent(1000));
+  ASSERT_TRUE(scenario.all_clients_done());
+  for (const rsm::RsmReplica* replica : scenario.correct_replicas()) {
+    EXPECT_TRUE(scenario.expected_commands().leq(replica->state()));
+  }
+  EXPECT_EQ(scenario.run(), 0u);  // nothing left to deliver
+}
+
 TEST(BatchedRsm, OversizedVarintPaddedFrameIsRejected) {
   // Non-minimal LEB128 length prefixes let a frame that *decodes* to a
   // cap-respecting batch (and carries a valid signature over the

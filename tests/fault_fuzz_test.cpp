@@ -18,7 +18,7 @@ TEST(FuzzSpec, RoundTripsForGeneratedSchedules) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
-      for (Runtime net : {Runtime::kSim, Runtime::kThread}) {
+      for (Runtime net : {Runtime::kSim, Runtime::kSocket}) {
         const FuzzSchedule s = fault::generate_schedule(seed, engine, net);
         const auto parsed = FuzzSchedule::parse(s.spec());
         ASSERT_TRUE(parsed.has_value()) << s.spec();
@@ -32,6 +32,11 @@ TEST(FuzzSpec, RejectsGarbage) {
   EXPECT_FALSE(FuzzSchedule::parse("nonsense").has_value());
   EXPECT_FALSE(FuzzSchedule::parse("seed=;engine=gwts").has_value());
   EXPECT_FALSE(FuzzSchedule::parse("seed=1;engine=vibes").has_value());
+  // Only the simulator and the socket runtime exist.
+  EXPECT_FALSE(
+      FuzzSchedule::parse("seed=1;engine=gwts;net=thread;n=4;f=1;clients=1;"
+                          "cmds=8;batch=2")
+          .has_value());
   EXPECT_FALSE(
       FuzzSchedule::parse("seed=1;engine=gwts;net=sim;n=4;f=1;clients=1;"
                           "cmds=8;batch=2;adv=bogus")
@@ -132,12 +137,12 @@ TEST(FuzzRun, SimResultsAreDeterministic) {
   EXPECT_EQ(a.commands_failed, b.commands_failed);
 }
 
-TEST(FuzzRun, ThreadSchedulesAreSafe) {
+TEST(FuzzRun, SocketSchedulesAreSafe) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (core::EngineKind engine :
          {core::EngineKind::kGwts, core::EngineKind::kGsbs}) {
       const FuzzSchedule s =
-          fault::generate_schedule(seed, engine, Runtime::kThread);
+          fault::generate_schedule(seed, engine, Runtime::kSocket);
       const FuzzResult r = fault::run_schedule(s);
       EXPECT_TRUE(r.safety_ok) << r.violation << "\nrepro: "
                                << fault::repro_command(s);

@@ -7,10 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "fault/fault.hpp"
 #include "net/sim_network.hpp"
-#include "net/thread_network.hpp"
 #include "testutil/cluster.hpp"
 
 namespace bla {
@@ -55,18 +56,18 @@ TEST(FaultTimers, SimTimersFireInOrderAndQuiesce) {
   EXPECT_DOUBLE_EQ(c->last_fire(), 3.0);  // 3 chained 1.0 delays
 }
 
-TEST(FaultTimers, ThreadTimersFire) {
-  net::ThreadNetwork net;
+TEST(FaultTimers, SocketTimersFire) {
   auto counter = std::make_unique<TimerCounter>(3);
   const TimerCounter* c = counter.get();
-  net.add_process(std::move(counter));
-  net.start();
+  std::vector<std::unique_ptr<net::IProcess>> procs;
+  procs.push_back(std::move(counter));
+  auto nets = testutil::start_loopback(std::move(procs));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (c->fired() < 3 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  net.stop();
+  nets[0]->stop();
   EXPECT_EQ(c->fired(), 3);
 }
 

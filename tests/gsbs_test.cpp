@@ -56,7 +56,7 @@ struct GsbsFixture {
       auto feed = std::make_shared<Feed>();
       feed->values = mine;
       auto proc = std::make_unique<GsbsProcess>(
-          GsbsConfig{id, n, f, rounds + settle}, signers->signer_for(id),
+          EngineConfig{id, n, f, rounds + settle}, signers->signer_for(id),
           [feed](const GsbsProcess::Decision&) {
             if (feed->next < feed->values.size()) {
               feed->proc->submit(feed->values[feed->next++]);
@@ -261,7 +261,7 @@ TEST(Gsbs, RunsOnRealEd25519) {
   net::SimNetwork net({.seed = 9, .delay = nullptr});
   std::vector<GsbsProcess*> correct;
   for (net::NodeId id = 0; id < 3; ++id) {
-    auto proc = std::make_unique<GsbsProcess>(GsbsConfig{id, 4, 1, 1},
+    auto proc = std::make_unique<GsbsProcess>(EngineConfig{id, 4, 1, 1},
                                               signers->signer_for(id));
     wire::Encoder v;
     v.str("ed");

@@ -1,17 +1,19 @@
 // Observability layer (src/obs/): metric primitives, trace ring,
 // lifecycle tracking, and the stall watchdog — unit-level (bucket
 // boundaries, quantile math, ring wraparound), concurrency-level
-// (counters under ThreadNetwork), and end-to-end (one registry shared
+// (counters under concurrent socket event loops), and end-to-end (one registry shared
 // across a full batched-RSM simulation records the per-stage command
 // latency pipeline in causal order).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
-#include "net/thread_network.hpp"
+#include "net/socket_network.hpp"
 #include "obs/registry.hpp"
 #include "rbc/bracha.hpp"
 #include "testutil/cluster.hpp"
@@ -148,12 +150,12 @@ TEST(ObsClock, ManualClockNeverMovesBackwards) {
 }
 
 // --------------------------------------------------------------------
-// Concurrent counters under the thread runtime.
+// Concurrent counters under the socket runtime.
 // --------------------------------------------------------------------
 
-TEST(ObsThreadNetwork, RegistryCountersMatchNodeMetrics) {
+TEST(ObsSocketNetwork, RegistryCountersMatchNodeMetrics) {
   // A small all-to-all flood: every node bounces each message a few
-  // times, so the four node threads hammer the shared net/* counters
+  // times, so the four event loops hammer the shared net/* counters
   // concurrently.
   class Flood final : public net::IProcess {
   public:
@@ -170,21 +172,35 @@ TEST(ObsThreadNetwork, RegistryCountersMatchNodeMetrics) {
   };
 
   auto registry = std::make_shared<Registry>();
-  net::ThreadNetwork net;
   constexpr std::size_t n = 4;
+  std::vector<std::unique_ptr<net::IProcess>> procs;
   for (std::size_t i = 0; i < n; ++i) {
-    net.add_process(std::make_unique<Flood>());
+    procs.push_back(std::make_unique<Flood>());
   }
-  net.attach_registry(registry);
-  net.start();
-  ASSERT_TRUE(net.wait_quiescent(20'000));
-  net.stop();
+  auto nets = testutil::start_loopback(std::move(procs), registry);
+  std::vector<const net::SocketNetwork*> hosted;
+  for (const auto& network : nets) hosted.push_back(network.get());
+  const auto delivered_total = [&hosted] {
+    std::uint64_t total = 0;
+    for (const auto* network : hosted) {
+      total += network->metrics().messages_delivered;
+    }
+    return total;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (delivered_total() < 108 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(net::wait_quiescent(hosted, 20'000));
+  for (auto& network : nets) network->stop();
 
   std::uint64_t sent = 0, delivered = 0, bytes_delivered = 0;
-  for (net::NodeId id = 0; id < n; ++id) {
-    sent += net.metrics(id).messages_sent;
-    delivered += net.metrics(id).messages_delivered;
-    bytes_delivered += net.metrics(id).bytes_delivered;
+  for (const auto* network : hosted) {
+    sent += network->metrics().messages_sent;
+    delivered += network->metrics().messages_delivered;
+    bytes_delivered += network->metrics().bytes_delivered;
   }
   // 4 nodes × 3 peers × (1 initial + 8 bounces) = 108 one-byte frames.
   EXPECT_EQ(sent, 108u);

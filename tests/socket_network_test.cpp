@@ -1,6 +1,7 @@
 // Socket transport tests (ROADMAP item 2): frame hardening at the
 // transport boundary, handshake rejection, reconnect/backoff, bounded
-// send queues, the fetch protocol's presumed-lost re-arm over real lossy
+// send queues, one-shot WTS under real concurrency (correct and
+// Byzantine peers), the fetch protocol's presumed-lost re-arm over real lossy
 // sockets, the fault decorator composed over the socket backend, and the
 // headline robustness scenario — crash a replica mid-load, restart it,
 // and watch it rejoin through the checkpoint catch-up protocol while the
@@ -20,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/adversary.hpp"
+#include "core/wts.hpp"
 #include "fault/fault.hpp"
 #include "gtest/gtest.h"
 #include "net/cluster_config.hpp"
@@ -28,6 +31,7 @@
 #include "obs/registry.hpp"
 #include "store/fetch.hpp"
 #include "testutil/cluster.hpp"
+#include "testutil/properties.hpp"
 #include "wire/wire.hpp"
 
 using namespace bla;
@@ -412,6 +416,113 @@ TEST(SocketNetwork, SelfAndBroadcastDelivery) {
   n0.start();
   EXPECT_TRUE(eventually(5.0, [&] { return raw->got_ == 1; }));
   n0.stop();
+}
+
+TEST(SocketNetwork, BouncesQuiesceWithExactCounts) {
+  // Each frame grows by one byte per hop and stops at four bytes:
+  // 1 initial send + 3 bounces = 4 messages, then the wire goes quiet.
+  class Bounce final : public net::IProcess {
+  public:
+    void on_start(net::IContext& ctx) override {
+      if (ctx.self() == 0) ctx.send(1, wire::Bytes{1});
+    }
+    void on_message(net::IContext& ctx, net::NodeId from,
+                    wire::BytesView payload) override {
+      if (payload.size() < 4) {
+        wire::Bytes next(payload.begin(), payload.end());
+        next.push_back(1);
+        ctx.send(from, next);
+      }
+    }
+  };
+  std::vector<std::unique_ptr<net::IProcess>> procs;
+  procs.push_back(std::make_unique<Bounce>());
+  procs.push_back(std::make_unique<Bounce>());
+  auto nets = testutil::start_loopback(std::move(procs));
+  ASSERT_TRUE(eventually(10.0, [&] {
+    return nets[0]->metrics().messages_delivered +
+               nets[1]->metrics().messages_delivered ==
+           4;
+  }));
+  ASSERT_TRUE(net::wait_quiescent({nets[0].get(), nets[1].get()}));
+  for (auto& network : nets) network->stop();
+  EXPECT_EQ(
+      nets[0]->metrics().messages_sent + nets[1]->metrics().messages_sent,
+      4u);
+}
+
+TEST(SocketNetwork, StopIsIdempotentAndSafe) {
+  std::vector<std::unique_ptr<net::IProcess>> procs;
+  procs.push_back(std::make_unique<EchoProcess>());
+  auto nets = testutil::start_loopback(std::move(procs));
+  nets[0]->stop();
+  nets[0]->stop();  // no crash, no hang
+  nets[0]->kill();
+  EXPECT_FALSE(nets[0]->running());
+}
+
+// ---------------------------------------------------------------------------
+// One-shot WTS under real concurrency: the protocols must stay safe
+// under OS-scheduled interleavings the deterministic simulator never
+// produces. Repeated runs widen the schedule coverage.
+// ---------------------------------------------------------------------------
+
+/// Runs WTS with processes [0, n - byzantine.size()) correct and the
+/// given Byzantine processes in the top ids; every correct process must
+/// decide, the wire must go quiet, and the decisions must be comparable.
+void expect_wts_decides(
+    std::size_t n, std::size_t f,
+    const std::function<std::vector<std::unique_ptr<net::IProcess>>()>&
+        byzantine,
+    int attempts) {
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    std::vector<std::unique_ptr<net::IProcess>> procs;
+    std::vector<core::WtsProcess*> correct;
+    auto byz = byzantine();
+    for (net::NodeId id = 0; id < n - byz.size(); ++id) {
+      auto p = std::make_unique<core::WtsProcess>(
+          core::WtsConfig{id, n, f}, testutil::proposal_value(id));
+      correct.push_back(p.get());
+      procs.push_back(std::move(p));
+    }
+    for (auto& p : byz) procs.push_back(std::move(p));
+    auto nets = testutil::start_loopback(std::move(procs));
+    std::vector<const net::SocketNetwork*> hosted;
+    for (const auto& network : nets) hosted.push_back(network.get());
+
+    ASSERT_TRUE(eventually(20.0, [&] {
+      bool all = true;
+      for (std::size_t i = 0; i < correct.size(); ++i) {
+        nets[i]->call([&] { all = all && correct[i]->has_decided(); });
+      }
+      return all;
+    })) << "attempt " << attempt;
+    ASSERT_TRUE(net::wait_quiescent(hosted, 20'000)) << "attempt " << attempt;
+    for (auto& network : nets) network->stop();
+
+    std::vector<core::ValueSet> decisions;
+    for (const auto* p : correct) decisions.push_back(p->decision());
+    EXPECT_EQ(testutil::check_comparability(decisions), "")
+        << "attempt " << attempt;
+  }
+}
+
+TEST(SocketWts, DecidesWithSilentNode) {
+  expect_wts_decides(4, 1, [] {
+    std::vector<std::unique_ptr<net::IProcess>> byz;
+    byz.push_back(std::make_unique<core::SilentProcess>());
+    return byz;
+  }, /*attempts=*/5);
+}
+
+TEST(SocketWts, DecidesWithByzantineNodes) {
+  expect_wts_decides(7, 2, [] {
+    std::vector<std::unique_ptr<net::IProcess>> byz;
+    byz.push_back(std::make_unique<core::EquivocatingDiscloser>(
+        7, lattice::value_from("evA"), lattice::value_from("evB")));
+    byz.push_back(std::make_unique<core::PromiscuousAcker>());
+    return byz;
+  }, /*attempts=*/5);
 }
 
 // Raw TCP client for boundary attacks: no SocketNetwork on this side.
@@ -815,35 +926,15 @@ TEST(SocketFetch, FanoutAndPresumedLostRearmUnderRealLoss) {
   plan.partitions.push_back({0.0, 0.6, {0}});
   fault::FaultyNetwork faults(plan, reg);
 
-  std::vector<ListenSlot> slots(n);
-  std::vector<std::string> peers;
-  for (auto& slot : slots) {
-    slot = bind_loopback();
-    peers.push_back("127.0.0.1:" + std::to_string(slot.port));
-  }
-
   auto requester = std::make_unique<FetchRequester>(n, want, reg);
   FetchRequester* requester_raw = requester.get();
-  std::vector<std::unique_ptr<net::SocketNetwork>> nets;
-  for (std::size_t id = 0; id < n; ++id) {
-    std::unique_ptr<net::IProcess> proc;
-    if (id == 0) {
-      proc = std::move(requester);
-    } else {
-      proc = std::make_unique<FetchProvider>(static_cast<net::NodeId>(id),
-                                             n, body);
-    }
-    auto network = std::make_unique<net::SocketNetwork>(
-        net::SocketNetwork::Config{.self = static_cast<net::NodeId>(id),
-                                   .cluster_n = n,
-                                   .peers = peers,
-                                   .listen_fd = slots[id].fd,
-                                   .seed = 100 + id,
-                                   .registry = reg});
-    network->host(faults.wrap(std::move(proc)));
-    nets.push_back(std::move(network));
+  std::vector<std::unique_ptr<net::IProcess>> procs;
+  procs.push_back(faults.wrap(std::move(requester)));
+  for (net::NodeId id = 1; id < n; ++id) {
+    procs.push_back(
+        faults.wrap(std::make_unique<FetchProvider>(id, n, body)));
   }
-  for (auto& network : nets) network->start();
+  auto nets = testutil::start_loopback(std::move(procs), reg);
 
   EXPECT_TRUE(eventually(20.0, [&] { return requester_raw->resolved(); }));
 
